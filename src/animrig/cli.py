@@ -55,17 +55,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-THREADS_ENV = "ANIMRIG_THREADS"
-
-
-def _default_threads():
-    value = os.environ.get(THREADS_ENV)
-    try:
-        return max(int(value), 1) if value else None
-    except ValueError:
-        return None
-
-
 def _write_json(data, path):
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -89,14 +78,10 @@ class PipelineConfig:
     retarget_embed_resolution: int | None = None
     retarget_scale_root: bool = True
     seed: int = 0
-    threads: int | None = None
 
     @classmethod
     def from_dict(cls, data):
-        fit_cfg = FitConfig.from_dict(data.get("fit", {}))
         retarget = data.get("retarget", {})
-        seed = int(data.get("seed", 0))
-        fit_cfg.seed = seed
         return cls(
             canonical_mesh=data["canonical_mesh"],
             skeleton=data["skeleton"],
@@ -104,14 +89,13 @@ class PipelineConfig:
             out_dir=data["out_dir"],
             skinning_method=data.get("skinning", {}).get("method", "heat"),
             weights=data.get("weights"),
-            fit=fit_cfg,
+            fit=FitConfig.from_dict(data.get("fit", {})),
             retarget_target_mesh=retarget.get("target_mesh"),
             retarget_target_skeleton=retarget.get("target_skeleton"),
             retarget_correspondence=retarget.get("correspondence"),
             retarget_embed_resolution=retarget.get("embed_resolution"),
             retarget_scale_root=bool(retarget.get("scale_root_translation", True)),
-            seed=seed,
-            threads=data.get("threads", _default_threads()),
+            seed=int(data.get("seed", 0)),
         )
 
     @classmethod
@@ -446,20 +430,13 @@ def _cmd_validate(args):
 
 
 def _cmd_pipeline(args):
-    config = PipelineConfig.load(args.config)
-    if args.threads is not None:
-        config.threads = args.threads
-    return run_pipeline(config)
+    return run_pipeline(PipelineConfig.load(args.config))
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="animrig",
         description="Skeleton-driven mesh animation: skinning, motion fitting, retargeting.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help=f"worker cap for internal parallelism (default: ${THREADS_ENV} or all)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

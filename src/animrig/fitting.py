@@ -7,8 +7,8 @@ order. _minimize works in rounds: it freezes the nearest-neighbor
 correspondences, runs bound-constrained L-BFGS on the frozen objective for up
 to 150 iterations, then re-matches and keeps the round only if the true
 objective did not increase. A rejected round falls back to one backtracking
-gradient step of length step_size. Correspondences are therefore re-assigned
-between rounds, not inside them.
+gradient step of length FALLBACK_STEP. Correspondences are therefore
+re-assigned between rounds, not inside them.
 
 The fitted frames are returned in one gauge: when the root joint has a single
 child bone, that bone's rotation is folded into the root transform (see
@@ -26,10 +26,14 @@ from scipy.spatial import cKDTree
 
 from . import chamfer as ch
 from . import rotations as rot
-from .deform import DeformedMesh, blend_skin_arrays, laplacian_loss, symmetry_loss
-from .geometry import SymmetryPlane, TriMesh
+from .deform import blend_skin_arrays, symmetry_loss
+from .geometry import TriMesh
 from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays
 from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
+
+
+# length of the backtracking gradient step taken when a frozen-match round fails
+FALLBACK_STEP = 0.05
 
 
 class FitError(RuntimeError):
@@ -40,9 +44,10 @@ class FitError(RuntimeError):
 class FitConfig:
     """Loss weights and optimizer settings for fit_motion.
 
-    step_size is the backtracking fallback step length used when a frozen-match
-    round fails; max_iters caps gradient evaluations per frame; scale_bounds
-    box-constrains bone scales at every iterate.
+    max_iters caps gradient evaluations per frame; a frame stops early once an
+    accepted round lowers the objective by a relative amount below
+    convergence_tol; scale_bounds box-constrains bone scales at every iterate.
+    from_dict ignores keys it does not know.
     """
 
     lambda_global: float = 1.0
@@ -51,16 +56,8 @@ class FitConfig:
     lambda_lap: float = 0.1
     lambda_rigid: float = 0.1
     max_iters: int = 300
-    step_size: float = 0.05
     convergence_tol: float = 1e-9
     scale_bounds: tuple = (0.8, 1.25)
-    warm_start: bool = True
-    target_weight_mode: str = "heat"  # "heat" or "transfer"
-    heat_visibility: bool = True
-    restarts: int = 1
-    init_jitter: float = 0.0
-    seed: int = 0
-    symmetry_plane: SymmetryPlane = field(default_factory=SymmetryPlane)
 
     def __post_init__(self):
         for name in ("lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid"):
@@ -68,15 +65,9 @@ class FitConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         lo, hi = self.scale_bounds
         if not (0 < lo <= 1.0 <= hi):
             raise ValueError("scale_bounds must satisfy 0 < min <= 1 <= max")
-        if self.target_weight_mode not in ("heat", "transfer"):
-            raise ValueError("target_weight_mode must be 'heat' or 'transfer'")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
     def to_dict(self):
         return {
@@ -86,16 +77,9 @@ class FitConfig:
             "lambda_lap": self.lambda_lap,
             "lambda_rigid": self.lambda_rigid,
             "max_iters": self.max_iters,
-            "step_size": self.step_size,
             "convergence_tol": self.convergence_tol,
             "scale_min": self.scale_bounds[0],
             "scale_max": self.scale_bounds[1],
-            "warm_start": self.warm_start,
-            "target_weight_mode": self.target_weight_mode,
-            "heat_visibility": self.heat_visibility,
-            "restarts": self.restarts,
-            "init_jitter": self.init_jitter,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -107,8 +91,7 @@ class FitConfig:
             k: known[k]
             for k in (
                 "lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid",
-                "max_iters", "step_size", "convergence_tol", "warm_start",
-                "target_weight_mode", "heat_visibility", "restarts", "init_jitter", "seed",
+                "max_iters", "convergence_tol",
             )
             if k in known
         }
@@ -143,7 +126,8 @@ class FrameObjective:
     """One frame's differentiable objective over (root, angles, scales).
 
     Parameters pack as [root rotation vector (3), root translation (3),
-    per-bone rotation vectors (3B), bone scales (B)].
+    per-bone rotation vectors (3B), bone scales (B)]. The part-level term
+    (lambda_local > 0) needs target_weights.
     """
 
     def __init__(
@@ -166,6 +150,8 @@ class FrameObjective:
             raise ValueError("weights columns must match the skeleton bone count")
         if target.num_vertices == 0:
             raise ValueError("supervision mesh is empty")
+        if config.lambda_local > 0 and target_weights is None:
+            raise ValueError("lambda_local > 0 needs target_weights")
         self.canonical = canonical
         self.skeleton = skeleton
         self.weights = weights.weights
@@ -198,7 +184,7 @@ class FrameObjective:
             self.prev_edge_lengths = None
 
         if frame_index == 0 and config.lambda_symm > 0:
-            self.symm_constant = symmetry_loss(canonical, config.symmetry_plane)
+            self.symm_constant = symmetry_loss(canonical)
         else:
             self.symm_constant = 0.0
 
@@ -256,31 +242,20 @@ class FrameObjective:
     def deform(self, theta):
         return self._forward(theta)["X"]
 
-    def deformed_mesh(self, theta) -> DeformedMesh:
-        return DeformedMesh(self.canonical, self.deform(theta), self.frame_index)
-
     # --- matching and loss values ----------------------------------------------
-
-    def _current_target_weights(self, global_match):
-        """Target-side weights and parts (heat mode: fixed; transfer: from match)."""
-        if self.target_weights is not None:
-            return self.target_weights, self.target_parts
-        if global_match is None:
-            raise FitError("transfer target weights need the global match")
-        transferred = SkinWeights(self.weights[global_match.idx_target])
-        return transferred, part_decompose(transferred)
 
     def match(self, X):
         cfg = self.config
-        need_global = cfg.lambda_global > 0 or cfg.lambda_local > 0 or self.target_weights is None
-        gmatch = ch.match_global(X, self.target_points, self.target_tree) if need_global else None
+        gmatch = (
+            ch.match_global(X, self.target_points, self.target_tree)
+            if cfg.lambda_global > 0 else None
+        )
         parts = []
         if cfg.lambda_local > 0:
-            t_weights, t_parts = self._current_target_weights(gmatch)
             parts = ch.match_parts(
                 X, self.target_points,
-                SkinWeights(self.weights), t_weights,
-                self.pred_parts, t_parts,
+                SkinWeights(self.weights), self.target_weights,
+                self.pred_parts, self.target_parts,
             )
             if not parts:
                 warnings.warn(
@@ -448,13 +423,13 @@ def objective_gradient(frame: MotionFrame, objective: FrameObjective):
     return grad
 
 
-def _descent_fallback(objective, theta, f_curr, matches, step_size):
+def _descent_fallback(objective, theta, f_curr, matches):
     """Plain gradient step with backtracking; returns an accepted point or None."""
     grad, _, _ = objective.gradient(theta, matches)
     norm = np.linalg.norm(grad)
     if norm == 0.0:
         return None
-    step = step_size / norm
+    step = FALLBACK_STEP / norm
     for _ in range(30):
         theta_try = objective.project(theta - step * grad)
         f_try, terms_try, matches_try = objective.evaluate(theta_try)
@@ -471,7 +446,7 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     frozen objective with bound-constrained L-BFGS, then re-matches and keeps
     the round only if the true objective did not increase; a rejected round or
     a failed line search falls back to a plain backtracking gradient step of
-    length config.step_size. max_iters caps the total gradient evaluations per
+    length FALLBACK_STEP. max_iters caps the total gradient evaluations per
     frame. Accepted rounds are non-increasing in the true objective, and bone
     scales respect scale_bounds at every iterate. history, when given, collects
     the objective value after every accepted round.
@@ -512,7 +487,7 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
             if f_try <= f_curr:
                 accepted = (result.x, f_try, terms_try, matches_try)
         if accepted is None:
-            accepted = _descent_fallback(objective, theta, f_curr, matches, config.step_size)
+            accepted = _descent_fallback(objective, theta, f_curr, matches)
             iterations += 1
             budget -= 1
             if accepted is None:
@@ -608,18 +583,6 @@ def _align_coarse(coarse: FrameObjective, theta0, config):
     return theta, iterations
 
 
-def _solve_frame(objective: FrameObjective, coarse: FrameObjective | None, theta0, config):
-    """Coarse surface-aligned initialization followed by the true objective."""
-    iterations = 0
-    theta = theta0
-    if coarse is not None:
-        theta, used = _align_coarse(coarse, theta, config)
-        iterations += used
-    theta, f_final, terms, used = _minimize(objective, theta, config)
-    iterations += used
-    return theta, f_final, terms, iterations
-
-
 def fit_motion(
     canonical: TriMesh,
     skeleton: Skeleton,
@@ -631,14 +594,15 @@ def fit_motion(
     """Fit one MotionFrame per supervision mesh, solved in temporal order.
 
     Supervision meshes do not need to share topology with the canonical mesh;
-    all data terms are point-set losses. With warm_start each frame starts
-    from the previous frame's parameters. supervision_weights optionally
-    supplies per-frame target-side skin weights (e.g. when the supervision
-    carries known weights); otherwise target weights follow
-    config.target_weight_mode: "heat" diffuses each supervision mesh against
-    the skeleton posed at that frame's starting parameters, "transfer" copies
-    the nearest predicted vertex's weights at every re-matching.
-    Returned frames pass through fold_root_bone.
+    all data terms are point-set losses. Each frame starts from the previous
+    frame's parameters (from their linear extrapolation once two frames are
+    solved), is aligned to the supervision surface by a coarse point-to-plane
+    objective, and is then solved once on the full objective.
+    supervision_weights optionally supplies per-frame target-side skin
+    weights (e.g. when the supervision carries known weights); otherwise,
+    when lambda_local > 0, each supervision mesh is heat-skinned against the
+    skeleton posed at the coarse-aligned parameters. Returned frames pass
+    through fold_root_bone.
     Returns (MotionClip, FitReport).
     """
     config = config or FitConfig()
@@ -654,8 +618,16 @@ def fit_motion(
         supervision_weights = list(supervision_weights)
         if len(supervision_weights) != len(supervision):
             raise ValueError("supervision_weights must match the supervision length")
+        for t, (mesh, tw) in enumerate(zip(supervision, supervision_weights)):
+            if (tw.num_vertices, tw.num_bones) != (mesh.num_vertices, skeleton.num_bones):
+                raise ValueError(
+                    f"frame {t}: supervision weights are {tw.num_vertices}x{tw.num_bones}, "
+                    f"the frame needs {mesh.num_vertices}x{skeleton.num_bones}"
+                )
 
-    rng = np.random.default_rng(config.seed)
+    coarse_config = replace(
+        config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0, lambda_symm=0.0
+    )
     report = FitReport()
     frames = []
     prev_vertices = None
@@ -663,62 +635,37 @@ def fit_motion(
     theta_prev2 = None
     for t, target in enumerate(supervision):
         start = time.perf_counter()
-        probe = FrameObjective(
-            canonical, skeleton, weights, target, config,
-            prev_vertices=prev_vertices, target_weights=None, frame_index=t,
-        )
-        if config.warm_start and theta_prev is not None:
-            if theta_prev2 is not None:
-                # linear motion prediction halves the warm-start offset
-                theta0 = probe.project(2.0 * theta_prev - theta_prev2)
-            else:
-                theta0 = theta_prev.copy()
-        else:
-            theta0 = probe.rest_parameters()
-
-        coarse_config = replace(
-            config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0, lambda_symm=0.0
-        )
         sample_points, sample_normals = surface_samples(target)
         coarse = FrameObjective(
             canonical, skeleton, weights, target, coarse_config,
             frame_index=t, target_points=sample_points, target_normals=sample_normals,
             one_sided=True,
         )
+        if theta_prev2 is not None:
+            # linear motion prediction halves the warm-start offset
+            theta0 = coarse.project(2.0 * theta_prev - theta_prev2)
+        elif theta_prev is not None:
+            theta0 = theta_prev
+        else:
+            theta0 = coarse.rest_parameters()
         # align first so heat target weights can be computed at a pose that
         # already tracks the supervision (including its root motion)
         theta_aligned, iterations = _align_coarse(coarse, theta0, config)
 
         if supervision_weights is not None:
             target_w = supervision_weights[t]
-        elif config.lambda_local > 0 and config.target_weight_mode == "heat":
-            aligned_frame = probe.frame_from_parameters(theta_aligned)
-            target_w = heat_diffusion_skinning(
-                target, _posed_copy(skeleton, aligned_frame),
-                use_visibility=config.heat_visibility,
-            )
+        elif config.lambda_local > 0:
+            aligned_frame = coarse.frame_from_parameters(theta_aligned)
+            target_w = heat_diffusion_skinning(target, _posed_copy(skeleton, aligned_frame))
         else:
-            target_w = None  # transfer mode resolves weights at each re-match
+            target_w = None
 
         objective = FrameObjective(
             canonical, skeleton, weights, target, config,
             prev_vertices=prev_vertices, target_weights=target_w, frame_index=t,
         )
-        # jittered restarts escape residual correspondence-aliasing minima;
-        # restart 0 continues from the aligned parameters
-        best = None
-        for r in range(config.restarts):
-            if r == 0:
-                theta_r, f_r, terms_r, iters_r = _minimize(objective, theta_aligned, config)
-            else:
-                start_r = objective.project(
-                    theta0 + rng.normal(scale=config.init_jitter, size=theta0.shape)
-                )
-                theta_r, f_r, terms_r, iters_r = _solve_frame(objective, coarse, start_r, config)
-            iterations += iters_r
-            if best is None or f_r < best[1]:
-                best = (theta_r, f_r, terms_r)
-        theta, _, terms = best
+        theta, _, terms, used = _minimize(objective, theta_aligned, config)
+        iterations += used
         # the fold only changes how the pose is written, so the next frame's
         # warm start and rigidity reference still come from theta
         frames.append(fold_root_bone(skeleton, objective.frame_from_parameters(theta)))

@@ -47,21 +47,6 @@ class JointCorrespondence:
     def identity(cls, num_joints):
         return cls(tuple((j, j) for j in range(num_joints)))
 
-    def target_of(self, ref_joint):
-        for r, t in self.pairs:
-            if r == ref_joint:
-                return t
-        return None
-
-    def ref_of(self, target_joint):
-        for r, t in self.pairs:
-            if t == target_joint:
-                return r
-        return None
-
-    def to_dict(self):
-        return {"pairs": [[r, t] for r, t in self.pairs]}
-
     @classmethod
     def from_dict(cls, data):
         return cls(tuple((r, t) for r, t in data["pairs"]))
@@ -410,11 +395,6 @@ def transfer_motion(
             blend_skin(target_mesh, target_weights, root, transforms, frame_index=t_index)
         )
     return outputs
-
-
-def save_correspondence(corr: JointCorrespondence, path):
-    with open(path, "w") as fh:
-        json.dump(corr.to_dict(), fh, indent=2, sort_keys=True)
 
 
 def load_correspondence(path) -> JointCorrespondence:

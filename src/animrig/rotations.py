@@ -8,10 +8,6 @@ angles and for optimization.
 import numpy as np
 
 
-def quat_identity():
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q)

@@ -174,7 +174,7 @@ def test_criterion_4_synthetic_motion_recovery(full_limb):
 
     cfg = FitConfig(
         lambda_local=1.0, lambda_symm=0.0, lambda_lap=0.0, lambda_rigid=0.0,
-        max_iters=800, convergence_tol=1e-10, restarts=2, init_jitter=0.05, seed=0,
+        max_iters=800, convergence_tol=1e-10,
     )
     start = time.perf_counter()
     clip, fit_report = fit_motion(
@@ -239,7 +239,7 @@ def test_criterion_6_temporal_consistency(small_limb):
         for lam in (0.0, 1.0):
             cfg = FitConfig(
                 lambda_local=0.0, lambda_symm=0, lambda_lap=0, lambda_rigid=lam,
-                max_iters=80, seed=0,
+                max_iters=80,
             )
             clip, _ = fit_motion(mesh, skel, w, noisy, cfg)
             jumps[lam] = max_interframe_jump(deform_clip(mesh, skel, w, clip))
@@ -333,8 +333,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                 "seed": 11,
                 "fit": {
                     "lambda_local": 1.0, "lambda_symm": 0.0, "lambda_lap": 0.0,
-                    "lambda_rigid": 0.1, "max_iters": 60, "restarts": 2,
-                    "init_jitter": 0.02,
+                    "lambda_rigid": 0.1, "max_iters": 60,
                 },
             }
         )

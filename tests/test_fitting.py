@@ -14,7 +14,7 @@ from animrig.fitting import (
 from animrig.geometry import TriMesh, bbox_diagonal
 from animrig.retarget import JointCorrespondence, transfer_motion
 from animrig.skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, posed_joints
-from animrig.skinning import heat_diffusion_skinning
+from animrig.skinning import SkinWeights, heat_diffusion_skinning
 from motionutil import clip_rmse, deform_clip, max_interframe_jump, smooth_clip
 from shapes import limb_rig
 
@@ -53,12 +53,22 @@ class TestFitConfig:
         assert again.scale_bounds == (0.9, 1.2)
         assert again.max_iters == 55
 
-    def test_bad_target_mode(self):
-        with pytest.raises(ValueError):
-            FitConfig(target_weight_mode="nearest")
+    def test_from_dict_ignores_deleted_keys(self):
+        cfg = FitConfig.from_dict({
+            "max_iters": 77, "lambda_rigid": 0.3, "restarts": 2, "init_jitter": 0.05,
+            "seed": 4, "target_weight_mode": "heat", "warm_start": True, "step_size": 0.05,
+        })
+        assert cfg.max_iters == 77
+        assert cfg.lambda_rigid == 0.3
+        assert cfg.to_dict() == FitConfig(max_iters=77, lambda_rigid=0.3).to_dict()
 
 
 class TestObjectiveGradient:
+    def test_local_term_needs_target_weights(self, rig):
+        mesh, skel, w = rig
+        with pytest.raises(ValueError):
+            FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=1.0))
+
     def test_matches_finite_differences(self, rig, rng):
         mesh, skel, w = rig
         cfg = FitConfig(
@@ -167,7 +177,7 @@ class TestFitMotion:
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         cfg = FitConfig(
             lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0.1,
-            max_iters=60, restarts=2, init_jitter=0.02, seed=7,
+            max_iters=60,
         )
         clip1, _ = fit_motion(mesh, skel, w, supervision, cfg, supervision_weights=[w] * 4)
         clip2, _ = fit_motion(mesh, skel, w, supervision, cfg, supervision_weights=[w] * 4)
@@ -199,7 +209,7 @@ class TestFitMotion:
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         cfg = FitConfig(
             lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0,
-            max_iters=800, convergence_tol=1e-10, restarts=2, init_jitter=0.05, seed=0,
+            max_iters=800, convergence_tol=1e-10,
         )
         clip, _ = fit_motion(mesh, skel, w, supervision, cfg,
                              supervision_weights=[w] * frames)
@@ -223,7 +233,7 @@ class TestFitMotion:
         for lam in (0.0, 1.0):
             cfg = FitConfig(
                 lambda_local=0.0, lambda_symm=0, lambda_lap=0, lambda_rigid=lam,
-                max_iters=80, seed=0,
+                max_iters=80,
             )
             clip, _ = fit_motion(mesh, skel, w, noisy, cfg)
             jumps[lam] = max_interframe_jump(deform_clip(mesh, skel, w, clip))
@@ -241,6 +251,14 @@ class TestFitMotion:
         with pytest.raises(FitError) as err:
             fit_motion(mesh, skel, w, [bad], cfg)
         assert "frame 0" in str(err.value)
+
+    def test_supervision_weights_checked_before_solving(self, rig):
+        mesh, skel, w = rig
+        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0, max_iters=5)
+        short = SkinWeights(w.weights[:-1])
+        with pytest.raises(ValueError) as err:
+            fit_motion(mesh, skel, w, [mesh, mesh], cfg, supervision_weights=[w, short])
+        assert "frame 1" in str(err.value)
 
     def test_report_totals(self, rig):
         mesh, skel, w = rig
