@@ -20,7 +20,7 @@ from .deform import (
     laplacian_loss,
     symmetry_loss,
 )
-from .fitting import FitConfig, FitReport, FrameObjective, fit_motion, objective_gradient
+from .fitting import FitConfig, FitReport, FrameObjective, fit_motion
 from .geometry import (
     EmptyInputError,
     MeshFormatError,
@@ -95,7 +95,6 @@ __all__ = [
     "heat_diffusion_skinning",
     "laplacian_loss",
     "load_mesh",
-    "objective_gradient",
     "part_decompose",
     "posed_joints",
     "reflect",

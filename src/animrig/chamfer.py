@@ -155,16 +155,10 @@ def part_match_value(pred_points, target_points, matches) -> float:
     target_points = as_points(target_points)
     total = 0.0
     for m in matches:
-        d2_p = np.einsum(
-            "ni,ni->n",
-            pred_points[m.pred_indices] - target_points[m.pred_to_target],
-            pred_points[m.pred_indices] - target_points[m.pred_to_target],
-        )
-        d2_t = np.einsum(
-            "ni,ni->n",
-            pred_points[m.target_to_pred] - target_points[m.target_indices],
-            pred_points[m.target_to_pred] - target_points[m.target_indices],
-        )
+        diff_p = pred_points[m.pred_indices] - target_points[m.pred_to_target]
+        diff_t = pred_points[m.target_to_pred] - target_points[m.target_indices]
+        d2_p = np.einsum("ni,ni->n", diff_p, diff_p)
+        d2_t = np.einsum("ni,ni->n", diff_t, diff_t)
         total += float(np.mean(m.pred_conf * d2_p) + np.mean(m.target_conf * d2_t))
     return total / len(matches)
 

@@ -17,6 +17,7 @@ fold_root_bone), so its returned angles are zero.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,9 @@ from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 # length of the backtracking gradient step taken when a frozen-match round fails
 FALLBACK_STEP = 0.05
 
+_LAMBDAS = ("lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid")
+_NUMERIC_FIELDS = _LAMBDAS + ("max_iters", "convergence_tol")
+
 
 class FitError(RuntimeError):
     """Fitting aborted (non-finite loss or invalid inputs)."""
@@ -44,10 +48,17 @@ class FitError(RuntimeError):
 class FitConfig:
     """Loss weights and optimizer settings for fit_motion.
 
-    max_iters caps gradient evaluations per frame; a frame stops early once an
+    max_iters caps the L-BFGS iterations plus fallback steps of a frame's
+    final solve (a fallback step can overrun it by 1); the coarse alignment
+    before that solve adds up to max_iters // 2 more. Line searches make
+    gradient evaluations outnumber iterations. A frame stops early once an
     accepted round lowers the objective by a relative amount below
     convergence_tol; scale_bounds box-constrains bone scales at every iterate.
-    from_dict ignores keys it does not know.
+    lambda_symm only adds the constant lambda_symm * symmetry_loss(canonical)
+    to frame 0's objective: it has no gradient and moves no parameter, but it
+    enters frame 0's relative-drop convergence test. Every field must be a
+    finite number and max_iters an integer. from_dict ignores keys it does
+    not know.
     """
 
     lambda_global: float = 1.0
@@ -60,12 +71,19 @@ class FitConfig:
     scale_bounds: tuple = (0.8, 1.25)
 
     def __post_init__(self):
-        for name in ("lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid"):
+        lo, hi = self.scale_bounds
+        values = [(name, getattr(self, name)) for name in _NUMERIC_FIELDS]
+        for name, value in values + [("scale_min", lo), ("scale_max", hi)]:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in _LAMBDAS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        lo, hi = self.scale_bounds
+        if self.convergence_tol < 0:
+            raise ValueError("convergence_tol must be nonnegative")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (0 < lo <= 1.0 <= hi):
             raise ValueError("scale_bounds must satisfy 0 < min <= 1 <= max")
 
@@ -87,14 +105,7 @@ class FitConfig:
         known = dict(data)
         lo = known.pop("scale_min", 0.8)
         hi = known.pop("scale_max", 1.25)
-        fields = {
-            k: known[k]
-            for k in (
-                "lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid",
-                "max_iters", "convergence_tol",
-            )
-            if k in known
-        }
+        fields = {k: known[k] for k in _NUMERIC_FIELDS if k in known}
         return cls(scale_bounds=(lo, hi), **fields)
 
 
@@ -127,7 +138,10 @@ class FrameObjective:
 
     Parameters pack as [root rotation vector (3), root translation (3),
     per-bone rotation vectors (3B), bone scales (B)]. The part-level term
-    (lambda_local > 0) needs target_weights.
+    (lambda_local > 0) needs target_weights. With target_normals the global
+    term is the one-sided damped point-to-plane distance from the deformed
+    vertices to target_points; without, it is the two-sided point-to-point
+    chamfer.
     """
 
     def __init__(
@@ -142,7 +156,6 @@ class FrameObjective:
         frame_index: int = 0,
         target_points=None,
         target_normals=None,
-        one_sided: bool = False,
     ):
         if weights.num_vertices != canonical.num_vertices:
             raise ValueError("weights rows must match the canonical vertex count")
@@ -154,10 +167,9 @@ class FrameObjective:
             raise ValueError("lambda_local > 0 needs target_weights")
         self.canonical = canonical
         self.skeleton = skeleton
-        self.weights = weights.weights
+        self.weights = weights
         self.config = config
         self.frame_index = frame_index
-        self.one_sided = one_sided
         self.num_bones = skeleton.num_bones
         self.num_params = 6 + 4 * self.num_bones
 
@@ -195,16 +207,6 @@ class FrameObjective:
         theta[6 + 3 * self.num_bones:] = 1.0
         return theta
 
-    def pack_frame(self, frame: MotionFrame):
-        if frame.num_bones != self.num_bones:
-            raise ValueError("frame bone count does not match the skeleton")
-        theta = np.zeros(self.num_params)
-        theta[:3] = rot.rotation_vector_from_quat(frame.root.quaternion)
-        theta[3:6] = frame.root.translation
-        theta[6:6 + 3 * self.num_bones] = frame.angles.ravel()
-        theta[6 + 3 * self.num_bones:] = frame.bone_scales
-        return theta
-
     def unpack(self, theta):
         b = self.num_bones
         return (
@@ -230,7 +232,9 @@ class FrameObjective:
     def _forward(self, theta):
         rv, t0, angles, scales = self.unpack(theta)
         R_local, R_world, t_world, t_local = fk_arrays(self.skeleton, angles, scales)
-        blended = blend_skin_arrays(self.canonical.vertices, self.weights, R_world, t_world)
+        blended = blend_skin_arrays(
+            self.canonical.vertices, self.weights.weights, R_world, t_world
+        )
         R0 = rot.rotation_matrix(rv)
         X = blended @ R0.T + t0
         return {
@@ -253,8 +257,7 @@ class FrameObjective:
         parts = []
         if cfg.lambda_local > 0:
             parts = ch.match_parts(
-                X, self.target_points,
-                SkinWeights(self.weights), self.target_weights,
+                X, self.target_points, self.weights, self.target_weights,
                 self.pred_parts, self.target_parts,
             )
             if not parts:
@@ -264,81 +267,34 @@ class FrameObjective:
                 )
         return ch.ChamferMatches(global_match=gmatch, parts=parts)
 
-    def _loss_terms(self, X, matches):
+    def _loss(self, X, matches):
+        """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
         cfg = self.config
         terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0, "symm": self.symm_constant}
+        G = np.zeros_like(X)
+        n_pred = len(X)
         if cfg.lambda_global > 0 and matches.global_match is not None:
             m = matches.global_match
             a = X - self.target_points[m.idx_pred]
             if self.target_normals is not None:
                 # damped point-to-plane: tangential sliding is cheap, not free
-                dots = np.einsum("ni,ni->n", a, self.target_normals[m.idx_pred])
-                d2 = np.einsum("ni,ni->n", a, a)
-                terms["global"] = float(np.mean(dots**2 + self.plane_damping * d2))
-            else:
-                terms["global"] = float(np.mean(np.einsum("ni,ni->n", a, a)))
-            if not self.one_sided:
-                b = X[m.idx_target] - self.target_points
-                terms["global"] += float(np.mean(np.einsum("ni,ni->n", b, b)))
-        if cfg.lambda_local > 0:
-            terms["local"] = ch.part_match_value(X, self.target_points, matches.parts)
-        if cfg.lambda_lap > 0:
-            residual = self.lap_op @ X
-            terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
-        if cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            lengths = np.linalg.norm(X[i] - X[j], axis=1)
-            terms["rigid"] = float(np.mean((lengths - self.prev_edge_lengths) ** 2))
-        terms["glc"] = cfg.lambda_global * terms["global"] + cfg.lambda_local * terms["local"]
-        terms["total"] = (
-            terms["glc"]
-            + cfg.lambda_lap * terms["lap"]
-            + cfg.lambda_rigid * terms["rigid"]
-            + cfg.lambda_symm * terms["symm"]
-        )
-        if not np.isfinite(terms["total"]):
-            bad = [k for k, v in terms.items() if not np.isfinite(v)]
-            raise FitError(f"frame {self.frame_index}: non-finite loss in {bad}")
-        return terms
-
-    def evaluate(self, theta, matches=None):
-        """Objective at theta. Fresh correspondences unless matches is given."""
-        X = self.deform(theta)
-        if matches is None:
-            matches = self.match(X)
-        terms = self._loss_terms(X, matches)
-        return terms["total"], terms, matches
-
-    def value(self, theta, matches=None):
-        return self.evaluate(theta, matches)[0]
-
-    # --- gradient ----------------------------------------------------------------
-
-    def _vertex_gradient(self, X, matches):
-        """dLoss/dX for the frozen correspondences."""
-        cfg = self.config
-        G = np.zeros_like(X)
-        n_pred = len(X)
-        n_target = len(self.target_points)
-        if cfg.lambda_global > 0 and matches.global_match is not None:
-            m = matches.global_match
-            a = X - self.target_points[m.idx_pred]
-            if self.target_normals is not None:
                 n = self.target_normals[m.idx_pred]
                 dots = np.einsum("ni,ni->n", a, n)
+                d2 = np.einsum("ni,ni->n", a, a)
+                terms["global"] = float(np.mean(dots**2 + self.plane_damping * d2))
                 G += (2.0 * cfg.lambda_global / n_pred) * (
                     dots[:, None] * n + self.plane_damping * a
                 )
             else:
+                b = X[m.idx_target] - self.target_points
+                terms["global"] = float(np.mean(np.einsum("ni,ni->n", a, a)))
+                terms["global"] += float(np.mean(np.einsum("ni,ni->n", b, b)))
                 G += (2.0 * cfg.lambda_global / n_pred) * a
-            if not self.one_sided:
-                np.add.at(
-                    G, m.idx_target,
-                    (2.0 * cfg.lambda_global / n_target) * (X[m.idx_target] - self.target_points),
-                )
-        if cfg.lambda_local > 0 and matches.parts:
-            scale = cfg.lambda_local / len(matches.parts)
+                np.add.at(G, m.idx_target, (2.0 * cfg.lambda_global / len(b)) * b)
+        if cfg.lambda_local > 0:
+            terms["local"] = ch.part_match_value(X, self.target_points, matches.parts)
             for pm in matches.parts:
+                scale = cfg.lambda_local / len(matches.parts)
                 diff_p = X[pm.pred_indices] - self.target_points[pm.pred_to_target]
                 G[pm.pred_indices] += (
                     (2.0 * scale / len(pm.pred_indices)) * pm.pred_conf[:, None] * diff_p
@@ -350,19 +306,44 @@ class FrameObjective:
                 )
         if cfg.lambda_lap > 0:
             residual = self.lap_op @ X
+            terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
             G += (2.0 * cfg.lambda_lap / n_pred) * (self.lap_op.T @ residual)
         if cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None:
             i, j = self.edges[:, 0], self.edges[:, 1]
             d = X[i] - X[j]
             lengths = np.linalg.norm(d, axis=1)
-            safe = np.maximum(lengths, 1e-30)
+            dlen = lengths - self.prev_edge_lengths
+            terms["rigid"] = float(np.mean(dlen**2))
             coeff = (2.0 * cfg.lambda_rigid / len(self.edges)) * (
-                (lengths - self.prev_edge_lengths) / safe
+                dlen / np.maximum(lengths, 1e-30)
             )
             contrib = coeff[:, None] * d
             np.add.at(G, i, contrib)
             np.add.at(G, j, -contrib)
-        return G
+        terms["glc"] = cfg.lambda_global * terms["global"] + cfg.lambda_local * terms["local"]
+        terms["total"] = (
+            terms["glc"]
+            + cfg.lambda_lap * terms["lap"]
+            + cfg.lambda_rigid * terms["rigid"]
+            + cfg.lambda_symm * terms["symm"]
+        )
+        if not np.isfinite(terms["total"]):
+            bad = [k for k, v in terms.items() if not np.isfinite(v)]
+            raise FitError(f"frame {self.frame_index}: non-finite loss in {bad}")
+        return terms, G
+
+    def evaluate(self, theta, matches=None):
+        """Objective at theta. Fresh correspondences unless matches is given."""
+        X = self.deform(theta)
+        if matches is None:
+            matches = self.match(X)
+        terms, _ = self._loss(X, matches)
+        return terms["total"], terms, matches
+
+    def value(self, theta, matches=None):
+        return self.evaluate(theta, matches)[0]
+
+    # --- gradient ----------------------------------------------------------------
 
     def gradient(self, theta, matches=None):
         """Exact gradient of the objective; correspondences frozen within the call.
@@ -374,20 +355,19 @@ class FrameObjective:
         X = fw["X"]
         if matches is None:
             matches = self.match(X)
-        terms = self._loss_terms(X, matches)
-        G = self._vertex_gradient(X, matches)
+        terms, G = self._loss(X, matches)
 
         skel = self.skeleton
         B = self.num_bones
         grad = np.zeros(self.num_params)
         grad[3:6] = G.sum(axis=0)
         G_R0 = np.einsum("ni,nj->ij", G, fw["blended"])
-        grad[:3] = rot.rotation_vector_gradient(G_R0, fw["rv"])
+        grad[:3] = rot.rotation_vector_gradient(G_R0, fw["rv"], fw["R0"])
 
         if B:
             Gp = G @ fw["R0"]  # rows become R0^T g_n
-            G_Rw = np.einsum("nb,ni,nj->bij", self.weights, Gp, self.canonical.vertices)
-            g_tw = self.weights.T @ Gp
+            G_Rw = np.einsum("nb,ni,nj->bij", self.weights.weights, Gp, self.canonical.vertices)
+            g_tw = self.weights.weights.T @ Gp
 
             parent_pos = skel.joints[skel.bone_parent_joints]
             stretch = (
@@ -410,17 +390,11 @@ class FrameObjective:
                 G_Rl[b] += np.outer(g_tl, stretch[b] - parent_pos[b])
                 g_delta = fw["R_local"][b].T @ g_tl
                 g_scales[b] = skel.rest_lengths[b] * float(skel.bone_directions[b] @ g_delta)
-            grad[6:6 + 3 * B] = rot.rotation_vector_gradient(G_Rl, fw["angles"]).ravel()
+            grad[6:6 + 3 * B] = rot.rotation_vector_gradient(
+                G_Rl, fw["angles"], fw["R_local"]
+            ).ravel()
             grad[6 + 3 * B:] = g_scales
         return grad, terms["total"], matches
-
-
-def objective_gradient(frame: MotionFrame, objective: FrameObjective):
-    """Gradient of a frame objective at a MotionFrame, packed as
-    [root rotation vector, root translation, joint angles, bone scales]."""
-    theta = objective.pack_frame(frame)
-    grad, _, _ = objective.gradient(theta)
-    return grad
 
 
 def _descent_fallback(objective, theta, f_curr, matches):
@@ -446,10 +420,12 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     frozen objective with bound-constrained L-BFGS, then re-matches and keeps
     the round only if the true objective did not increase; a rejected round or
     a failed line search falls back to a plain backtracking gradient step of
-    length FALLBACK_STEP. max_iters caps the total gradient evaluations per
-    frame. Accepted rounds are non-increasing in the true objective, and bone
-    scales respect scale_bounds at every iterate. history, when given, collects
-    the objective value after every accepted round.
+    length FALLBACK_STEP. max_iters caps the L-BFGS iterations plus fallback
+    steps; a fallback step taken once the cap is reached overruns it by 1.
+    Line searches make gradient evaluations outnumber iterations. Accepted
+    rounds are non-increasing in the true objective, and bone scales respect
+    scale_bounds at every iterate. history, when given, collects the
+    objective value after every accepted round.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -639,7 +615,6 @@ def fit_motion(
         coarse = FrameObjective(
             canonical, skeleton, weights, target, coarse_config,
             frame_index=t, target_points=sample_points, target_normals=sample_normals,
-            one_sided=True,
         )
         if theta_prev2 is not None:
             # linear motion prediction halves the warm-start offset

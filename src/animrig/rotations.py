@@ -89,17 +89,6 @@ def quat_from_rotation_vector(v):
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
-def rotation_vector_from_quat(q):
-    q = np.asarray(q, dtype=np.float64)
-    if q[0] < 0.0:
-        q = -q
-    s = np.linalg.norm(q[1:])
-    if s < 1e-12:
-        return 2.0 * q[1:] / max(q[0], 1e-12)
-    angle = 2.0 * np.arctan2(s, q[0])
-    return q[1:] * (angle / s)
-
-
 def skew(v):
     """Cross-product matrices for one 3-vector or a batch (..., 3)."""
     v = np.asarray(v, dtype=np.float64)
@@ -137,21 +126,23 @@ def rotation_matrix(rotvec):
     return rotation_matrices(np.asarray(rotvec, dtype=np.float64))
 
 
-def rotation_vector_gradient(grads, rotvecs):
+def rotation_vector_gradient(grads, rotvecs, rotations):
     """Pull a loss gradient back through the Rodrigues map.
 
-    Given dL/dR as (..., 3, 3) and the rotation vectors q as (..., 3), returns
-    dL/dq as (..., 3). Uses the closed-form derivative of the exponential map;
-    below 1e-4 radians a second-order series keeps the result smooth.
+    Given dL/dR as (..., 3, 3), the rotation vectors q as (..., 3) and their
+    matrices rotation_matrices(q) as (..., 3, 3), returns dL/dq as (..., 3).
+    Uses the closed-form derivative of the exponential map; below 1e-4
+    radians a second-order series keeps the result smooth.
     """
     grads = np.asarray(grads, dtype=np.float64)
     rotvecs = np.asarray(rotvecs, dtype=np.float64)
+    rotations = np.asarray(rotations, dtype=np.float64)
     single = rotvecs.ndim == 1
     G = grads if grads.ndim == 3 else grads[None]
+    R = rotations if rotations.ndim == 3 else rotations[None]
     q = np.atleast_2d(rotvecs)
 
     theta2 = np.einsum("bi,bi->b", q, q)
-    R = rotation_matrices(q)
     out = np.zeros_like(q)
 
     small = theta2 < 1e-8  # theta < 1e-4

@@ -183,6 +183,13 @@ class TestValidate:
         bad.write_text(json.dumps(bad_cfg))
         assert main(["validate", "--config", str(bad)]) == 2
 
+    def test_non_numeric_fit_value_exits_2(self, assets, tmp_path):
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["fit"]["max_iters"] = "300"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+
 
 class TestFitCommand:
     def test_missing_supervision_exits_2_naming_path(self, assets, tmp_path, capsys):

@@ -8,7 +8,6 @@ from animrig.fitting import (
     _minimize,
     fit_motion,
     fold_root_bone,
-    objective_gradient,
     surface_samples,
 )
 from animrig.geometry import TriMesh, bbox_diagonal
@@ -45,6 +44,14 @@ class TestFitConfig:
     def test_scale_bounds_must_bracket_one(self):
         with pytest.raises(ValueError):
             FitConfig(scale_bounds=(1.1, 1.2))
+
+    @pytest.mark.parametrize("fit", [
+        {"max_iters": "300"}, {"lambda_local": None}, {"convergence_tol": -1e-9},
+        {"convergence_tol": float("nan")}, {"max_iters": 2.5}, {"scale_max": float("inf")},
+    ])
+    def test_from_dict_rejects_bad_values(self, fit):
+        with pytest.raises(ValueError):
+            FitConfig.from_dict(fit)
 
     def test_dict_roundtrip(self):
         cfg = FitConfig(lambda_local=2.0, scale_bounds=(0.9, 1.2), max_iters=55)
@@ -105,8 +112,7 @@ class TestObjectiveGradient:
         theta_star = random_theta(helper, rng)
         target = mesh.with_vertices(helper.deform(theta_star))
         obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w, frame_index=1)
-        frame = obj.frame_from_parameters(theta_star)
-        grad = objective_gradient(frame, obj)
+        grad, _, _ = obj.gradient(theta_star)
         assert np.linalg.norm(grad) < 1e-6
 
     def test_zero_loss_weights_zero_gradient(self, rig, rng):
@@ -128,7 +134,7 @@ class TestObjectiveGradient:
         cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
         obj = FrameObjective(
             mesh, skel, w, target, cfg,
-            target_points=pts, target_normals=normals, one_sided=True, frame_index=1,
+            target_points=pts, target_normals=normals, frame_index=1,
         )
         theta = random_theta(obj, rng)
         grad, _, matches = obj.gradient(theta)
@@ -140,6 +146,28 @@ class TestObjectiveGradient:
             tm[i] -= h
             fd = (obj.value(tp, matches) - obj.value(tm, matches)) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8) < 1e-3
+
+    def test_gradient_total_equals_evaluate(self, rig, rng):
+        mesh, skel, w = rig
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
+        pts, normals = surface_samples(target)
+        plane = FrameObjective(
+            mesh, skel, w, target, FitConfig(lambda_local=0),
+            target_points=pts, target_normals=normals, frame_index=1,
+        )
+        regularized = FrameObjective(
+            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            prev_vertices=helper.deform(random_theta(helper, rng)),
+            target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
+        )
+        for obj in (plane, regularized):
+            theta = random_theta(obj, rng)
+            matches = obj.match(obj.deform(random_theta(obj, rng)))
+            _, total, _ = obj.gradient(theta, matches)
+            value, terms, _ = obj.evaluate(theta, matches)
+            assert total == value
+        assert all(terms[k] > 0 for k in ("global", "local", "lap", "rigid", "symm"))
 
 
 class TestFitMotion:
