@@ -361,8 +361,9 @@ class FrameObjective:
         B = self.num_bones
         grad = np.zeros(self.num_params)
         grad[3:6] = G.sum(axis=0)
-        G_R0 = np.einsum("ni,nj->ij", G, fw["blended"])
-        grad[:3] = rot.rotation_vector_gradient(G_R0, fw["rv"], fw["R0"])
+        # dL/dR of the root rotation, then of each bone's local rotation
+        G_R = np.zeros((B + 1, 3, 3))
+        G_R[0] = np.einsum("ni,nj->ij", G, fw["blended"])
 
         if B:
             Gp = G @ fw["R0"]  # rows become R0^T g_n
@@ -375,7 +376,7 @@ class FrameObjective:
                 * skel.rest_lengths[:, None]
                 * skel.bone_directions
             )
-            G_Rl = np.zeros((B, 3, 3))
+            G_Rl = G_R[1:]
             g_scales = np.zeros(B)
             for b in skel.bone_order[::-1]:
                 p = int(skel.bone_parent_bones[b])
@@ -390,10 +391,13 @@ class FrameObjective:
                 G_Rl[b] += np.outer(g_tl, stretch[b] - parent_pos[b])
                 g_delta = fw["R_local"][b].T @ g_tl
                 g_scales[b] = skel.rest_lengths[b] * float(skel.bone_directions[b] @ g_delta)
-            grad[6:6 + 3 * B] = rot.rotation_vector_gradient(
-                G_Rl, fw["angles"], fw["R_local"]
-            ).ravel()
             grad[6 + 3 * B:] = g_scales
+        g_rv = rot.rotation_vector_gradient(
+            G_R, np.vstack([fw["rv"], fw["angles"]]),
+            np.concatenate([fw["R0"][None], fw["R_local"]]),
+        )
+        grad[:3] = g_rv[0]
+        grad[6:6 + 3 * B] = g_rv[1:].ravel()
         return grad, terms["total"], matches
 
 

@@ -3,6 +3,17 @@
 Both weight computations return row-stochastic N x B matrices binding each
 vertex to the skeleton's bones. The argmax part decomposition built from the
 weights drives the part-level chamfer term.
+
+Bone heat (Baran & Popovic 2007) anchors each vertex at its nearest bone that
+it can see: the segment from the vertex to the bone's closest point must cross
+no face. `nearest_visible_bones` tests all N x B such rays in one batched pass
+per bone instead of testing every face for every ray (O(N * F * B)). The faces
+sit in a uniform grid stored as a sparse table of occupied cells (sorted cell
+keys and CSR face lists, O(F) memory); rays are cut into pieces no longer than
+a cell, each piece gathers the faces of the cells it reaches, and the distinct
+(ray, face) pairs run through the same Moller-Trumbore test in fixed-size
+blocks, so the anchors and distances equal those of the brute-force test and
+the working set does not grow with N or F beyond the O(N * B + F) arrays.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ class SkinWeights:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError("weights must be a 2-D (N, B) matrix")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         sums = weights.sum(axis=1)
@@ -220,31 +233,173 @@ def point_segment_distances(points, seg_starts, seg_ends):
     return dist, closest
 
 
-def _ray_blocked(origin, target, vertices, faces, exclude_vertex):
-    """True when the open segment origin->target crosses a mesh triangle.
+# Working-set bounds of the visibility pass: rays are cut into pieces, a group
+# of _PIECE_BUDGET pieces is looked up in the grid at a time, and the
+# Moller-Trumbore test runs on blocks of exactly _PAIR_BLOCK (ray, face) pairs.
+# Arrays whose length depends on the data are padded to a multiple of
+# _PAD_TO entries: numpy keeps freed arrays under 1 KiB in a per-size cache,
+# and arrays of many small lengths would stay resident and fragment the heap.
+_PIECE_BUDGET = 512
+_PAIR_BLOCK = 2048
+_PAD_TO = 512
+# Grid cells per axis are capped so that a few tiny faces cannot blow up the
+# number of pieces per ray; the cap also keeps every cell key below 2**31.
+_MAX_CELLS_PER_AXIS = 1024
+# Cell edge as a multiple of the mean face box extent.
+_CELL_PER_EXTENT = 1.5
+# Cell offsets of the 2 x 2 x 2 block a ray piece's box can touch.
+_PIECE_OFFSETS = np.array([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 
-    Faces incident to exclude_vertex are skipped; grazing or numerically
-    ambiguous hits do not count as blocking.
+
+@dataclass(frozen=True)
+class _FaceGrid:
+    """Uniform grid over a mesh's faces, stored as a sparse table of occupied cells.
+
+    cell_keys holds the sorted linear keys of the C occupied cells, and
+    cell_faces[starts[i]:starts[i + 1]] the faces of cell i (CSR layout). A
+    face whose padded box spans more than 3 cells on an axis is not put in
+    the cells but in the extra list i = C, which every ray tests, so the
+    table holds at most 27 entries per face.
     """
-    direction = target - origin
-    length = np.linalg.norm(direction)
-    if length < 1e-12 or not len(faces):
-        return False
-    v0 = vertices[faces[:, 0]]
-    e1 = vertices[faces[:, 1]] - v0
-    e2 = vertices[faces[:, 2]] - v0
+
+    lo: np.ndarray
+    hi: np.ndarray
+    cell: float
+    pad: float
+    dims: np.ndarray
+    cell_keys: np.ndarray
+    starts: np.ndarray
+    cell_faces: np.ndarray
+
+
+def _face_grid(vertices, faces) -> _FaceGrid:
+    """Bucket faces into cubic cells of 1.5 times the mean face box extent."""
+    lo = vertices.min(axis=0)
+    hi = vertices.max(axis=0)
+    fmin = np.minimum(np.minimum(vertices[faces[:, 0]], vertices[faces[:, 1]]),
+                      vertices[faces[:, 2]])
+    fmax = np.maximum(np.maximum(vertices[faces[:, 0]], vertices[faces[:, 1]]),
+                      vertices[faces[:, 2]])
+    cell = max(_CELL_PER_EXTENT * float((fmax - fmin).max(axis=1).mean()),
+               float((hi - lo).max()) / _MAX_CELLS_PER_AXIS, 1e-12)
+    # the pad makes both the face boxes and the piece boxes conservative
+    pad = 1e-4 * cell
+    dims = np.floor((hi - lo) / cell).astype(np.int64) + 2
+    c_lo = np.clip(np.floor((fmin - pad - lo) / cell), 0, dims - 1).astype(np.int64)
+    span = np.clip(np.floor((fmax + pad - lo) / cell), 0, dims - 1).astype(np.int64) - c_lo
+    del fmin, fmax
+    gridded = np.all(span <= 2, axis=1)
+    shift = len(faces).bit_length()  # entry = cell key << shift | face
+    entries = []
+    for offset in np.ndindex(3, 3, 3):
+        sel = np.flatnonzero(gridded & np.all(span >= offset, axis=1))
+        c = c_lo[sel] + offset
+        entries.append((((c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]) << shift) | sel)
+    entries = np.concatenate(entries)
+    entries.sort(kind="stable")
+    keys = entries >> shift
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    large = np.flatnonzero(~gridded)
+    return _FaceGrid(
+        lo=lo, hi=hi, cell=cell, pad=pad, dims=dims, cell_keys=keys[first],
+        starts=np.concatenate([first, [len(entries), len(entries) + len(large)]]),
+        cell_faces=np.concatenate([entries & ((1 << shift) - 1), large]).astype(np.int32),
+    )
+
+
+def _candidate_pairs(grid, vertices, directions, t_exit, pieces, cum, first_piece, shift):
+    """Distinct (ray, face) candidates of the _PIECE_BUDGET pieces from first_piece.
+
+    Ray r runs from vertices[r] to vertices[r] + t_exit[r] * directions[r]
+    (its part inside the padded grid box) in pieces[r] equal pieces, each no
+    longer than 0.99 cells, so a piece's padded box lies in the 2 x 2 x 2
+    cells from its lower corner's cell; every piece also takes the list of
+    large faces. Pieces are numbered across rays (cum = cumsum(pieces)).
+
+    Returns (keys, count): keys[:count] are the sorted distinct keys
+    ray << shift | face; the rest of keys is padding.
+    """
+    n_verts, n_cells = len(cum), len(grid.cell_keys)
+    piece = np.arange(first_piece, first_piece + _PIECE_BUDGET)
+    valid = piece < cum[-1]
+    ray = np.minimum(np.searchsorted(cum, piece, side="right"), n_verts - 1)
+    k = np.maximum(pieces[ray], 1)
+    j = piece - (cum[ray] - k)
+    a = vertices[ray] + (t_exit[ray] * j / k)[:, None] * directions[ray]
+    b = vertices[ray] + (t_exit[ray] * (j + 1) / k)[:, None] * directions[ray]
+    c0 = np.clip(np.floor((np.minimum(a, b) - grid.pad - grid.lo) / grid.cell),
+                 0, grid.dims - 2).astype(np.int64)
+    c1 = np.clip(np.floor((np.maximum(a, b) + grid.pad - grid.lo) / grid.cell),
+                 0, grid.dims - 1).astype(np.int64)
+    del a, b
+    base = (c0[:, 0] * grid.dims[1] + c0[:, 1]) * grid.dims[2] + c0[:, 2]
+    step = (_PIECE_OFFSETS[:, 0] * grid.dims[1] + _PIECE_OFFSETS[:, 1]) * grid.dims[2] \
+        + _PIECE_OFFSETS[:, 2]
+    keys = base[:, None] + step[None, :]
+    pos = np.searchsorted(grid.cell_keys, keys)
+    # of the 2 x 2 x 2 block, only the cells the piece's padded box reaches
+    reach = np.all(_PIECE_OFFSETS[None, :, :] <= (c1 - c0)[:, None, :], axis=2)
+    found = valid[:, None] & reach & (grid.cell_keys.take(pos, mode="clip") == keys)
+    # one slot ray << cell_shift | cell per distinct (ray, cell); column 8 is
+    # the large-face list, cell C
+    cell_shift = (n_cells + 1).bit_length()
+    slot = np.full((_PIECE_BUDGET, 9), n_verts << cell_shift)
+    slot[:, :8] = np.where(found, (ray[:, None] << cell_shift) | pos, slot[:, :8])
+    slot[:, 8] = np.where(valid, (ray << cell_shift) | n_cells, slot[:, 8])
+    slot = np.sort(slot, axis=None, kind="stable")
+    fresh = np.empty(len(slot), dtype=bool)
+    fresh[0] = True
+    np.not_equal(slot[1:], slot[:-1], out=fresh[1:])
+    ray = slot >> cell_shift
+    cell = np.minimum(slot & ((1 << cell_shift) - 1), n_cells)
+    fresh &= ray < n_verts
+    first = grid.starts[cell]
+    counts = np.where(fresh, grid.starts[cell + 1] - first, 0)
+    total = int(counts.sum())
+    if not total:
+        return slot[:0], 0
+    # padding entries get the keys of ray n_verts, past every real key
+    counts = np.append(counts, -total % _PAD_TO)
+    first, ray = np.append(first, 0), np.append(ray, n_verts)
+    at = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    pairs = (np.repeat(ray, counts) << shift) | grid.cell_faces.take(at, mode="clip")
+    pairs.sort(kind="stable")
+    fresh = np.empty(len(pairs), dtype=bool)
+    fresh[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=fresh[1:])
+    fresh &= pairs < n_verts << shift
+    np.putmask(pairs, ~fresh, n_verts << shift)
+    pairs.sort(kind="stable")
+    return pairs, int(fresh.sum())
+
+
+def _test_pairs(vertices, faces, directions, keys, shift, blocked):
+    """Set blocked[r] for each key r << shift | f whose ray r crosses face f.
+
+    Moller-Trumbore with the expressions, order and thresholds of the
+    brute-force per-ray test on each pair, so the result is the same. Keys
+    of rays past the last vertex are padding. Pairs of incident faces and of
+    rays already blocked are masked, not removed, so every array has
+    len(keys) entries; blocked has one spare entry at the end that takes the
+    writes of the pairs that miss.
+    """
+    r = keys >> shift
+    f = keys & ((1 << shift) - 1)
+    tested = r < len(vertices)
+    r = np.where(tested, r, 0)
+    tested &= ~blocked[r] & ~np.any(faces[f] == r[:, None], axis=1)
+    direction = directions[r]
+    v0 = vertices[faces[f, 0]]
+    e1 = vertices[faces[f, 1]] - v0
+    e2 = vertices[faces[f, 2]] - v0
     h = np.cross(direction, e2)
     det = np.einsum("fi,fi->f", e1, h)
-    ok = np.abs(det) > 1e-14
-    if exclude_vertex is not None:
-        ok &= ~np.any(faces == exclude_vertex, axis=1)
-    if not ok.any():
-        return False
+    ok = tested & (np.abs(det) > 1e-14)
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = origin - v0
+    s = vertices[r] - v0
     u = inv * np.einsum("fi,fi->f", s, h)
     q = np.cross(s, e1)
-    v = inv * np.einsum("fi,fi->f", np.broadcast_to(direction, v0.shape), q)
+    v = inv * np.einsum("fi,fi->f", direction, q)
     t = inv * np.einsum("fi,fi->f", e2, q)
     eps = 1e-9
     hit = (
@@ -255,7 +410,48 @@ def _ray_blocked(origin, target, vertices, faces, exclude_vertex):
         & (t > 1e-7)
         & (t < 1.0 - 1e-7)
     )
-    return bool(hit.any())
+    blocked[np.where(hit, r, len(vertices))] = True
+
+
+def _blocked_rays(vertices, faces, grid, targets):
+    """(N,) bool: True where the open segment vertices[n]->targets[n] crosses a face.
+
+    Faces incident to vertex n are skipped, a ray shorter than 1e-12 is never
+    blocked, and grazing or numerically ambiguous hits do not count.
+    """
+    n_verts = len(vertices)
+    shift = len(faces).bit_length()
+    directions = targets - vertices
+    length = np.linalg.norm(directions, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exits = np.where(directions > 0, (grid.hi + grid.pad - vertices) / directions,
+                         np.where(directions < 0, (grid.lo - grid.pad - vertices) / directions,
+                                  np.inf))
+    t_exit = np.minimum(exits.min(axis=1), 1.0)
+    del exits
+    pieces = np.where(length < 1e-12, 0,
+                      np.maximum(np.ceil(t_exit * length / (0.99 * grid.cell)), 1)
+                      ).astype(np.int64)
+    cum = np.cumsum(pieces)
+    blocked = np.zeros(n_verts + 1, dtype=bool)
+    block = np.empty(_PAIR_BLOCK, dtype=np.int64)
+    filled = 0
+    for first_piece in range(0, int(cum[-1]), _PIECE_BUDGET):
+        pairs, count = _candidate_pairs(
+            grid, vertices, directions, t_exit, pieces, cum, first_piece, shift)
+        done = 0
+        while done < count:
+            take = min(_PAIR_BLOCK - filled, count - done)
+            block[filled:filled + take] = pairs[done:done + take]
+            filled += take
+            done += take
+            if filled == _PAIR_BLOCK:
+                _test_pairs(vertices, faces, directions, block, shift, blocked)
+                filled = 0
+    if filled:
+        block[filled:] = n_verts << shift
+        _test_pairs(vertices, faces, directions, block, shift, blocked)
+    return blocked[:n_verts]
 
 
 def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True):
@@ -264,36 +460,60 @@ def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True
     Returns (anchors (N, B), dist (N,)): anchors holds 1 at each vertex's
     nearest visible bone (split evenly across exact distance ties, so
     symmetric geometry yields symmetric weights) and dist the anchored
-    distance. When every candidate is occluded the nearest bone wins anyway
-    (open meshes must keep a heat source).
+    distance. A bone is visible from a vertex when the segment to its closest
+    point on the bone crosses no face, by Moller-Trumbore with grazing hits
+    and the faces incident to the vertex left out; when every candidate is
+    occluded the nearest bone wins anyway (open meshes must keep a heat
+    source).
+
+    Visibility is one batched pass per bone over all N rays. The faces sit in
+    a uniform grid kept as a sparse table (sorted keys of the occupied cells
+    with CSR face lists, at most 27 entries per face; a face spanning more
+    cells goes to a list every ray tests), so the grid takes O(F) memory
+    whatever the face sizes. Each ray is cut into pieces shorter than a cell,
+    each piece looks up the (at most 8) cells its padded box reaches, and the
+    distinct (ray, face) pairs go through Moller-Trumbore in blocks of
+    _PAIR_BLOCK.
+    Time is O(F log F) for the grid plus, per bone, O(P log C + K log K) for
+    P pieces, C occupied cells and K candidate pairs, instead of the O(N * F)
+    of testing every face; the working set beyond O(N * B + F) is fixed by
+    _PIECE_BUDGET and _PAIR_BLOCK.
     """
     seg_a = skeleton.joints[skeleton.bone_parent_joints]
     seg_b = skeleton.joints[skeleton.bone_joints]
-    dist, closest = point_segment_distances(mesh.vertices, seg_a, seg_b)
-    order = np.argsort(dist, axis=1, kind="stable")
-    n_verts, n_bones = dist.shape
+    vertices, faces = mesh.vertices, mesh.faces
+    n_verts, n_bones = len(vertices), skeleton.num_bones
+    # the outputs are allocated before the pass's temporaries, so that the heap
+    # they leave behind is free at the top rather than in holes below them
     anchors = np.zeros((n_verts, n_bones))
     picked = np.zeros(n_verts)
-    test_rays = use_visibility and len(mesh.faces) > 0
-    for n in range(n_verts):
-        visible = order[n, 0]
+    dist = np.zeros((n_verts, n_bones))
+    open_ = np.ones((n_verts, n_bones), dtype=bool)
+    test_rays = use_visibility and len(faces) > 0
+    grid = _face_grid(vertices, faces) if test_rays else None
+    for b in range(n_bones):  # one bone at a time: no (N, B, 3) array is formed
+        d, closest = point_segment_distances(vertices, seg_a[b:b + 1], seg_b[b:b + 1])
+        dist[:, b] = d[:, 0]
         if test_rays:
-            for b in order[n]:
-                if not _ray_blocked(mesh.vertices[n], closest[n, b], mesh.vertices, mesh.faces, n):
-                    visible = b
-                    break
-        d_star = dist[n, visible]
-        tol = 1e-9 * max(d_star, 1.0)
-        tied = [int(visible)]
-        for b in order[n]:
-            if b == visible or dist[n, b] > d_star + tol:
-                continue
-            if not test_rays or not _ray_blocked(
-                mesh.vertices[n], closest[n, b], mesh.vertices, mesh.faces, n
-            ):
-                tied.append(int(b))
-        anchors[n, tied] = 1.0 / len(tied)
-        picked[n] = d_star
+            open_[:, b] = ~_blocked_rays(vertices, faces, grid, closest[:, 0])
+        del d, closest
+    del grid
+    # first visible bone in distance order, else the nearest one; flat indices
+    # (vertex * B + bone) keep to one-dimensional gathers
+    order = np.argsort(dist, axis=1, kind="stable")
+    rows = np.arange(n_verts) * n_bones
+    visible = order[:, 0]
+    if test_rays:
+        seen = np.zeros(n_verts, dtype=bool)
+        for rank in range(n_bones):
+            first = ~seen & open_.ravel()[rows + order[:, rank]]
+            visible = np.where(first, order[:, rank], visible)
+            seen |= first
+    flat = rows + visible
+    picked[:] = dist.ravel()[flat]
+    tied = open_ & (dist <= (picked + 1e-9 * np.maximum(picked, 1.0))[:, None])
+    tied.ravel()[flat] = True
+    np.multiply(tied, (1.0 / tied.sum(axis=1))[:, None], out=anchors)
     return anchors, picked
 
 
@@ -317,6 +537,10 @@ def heat_diffusion_skinning(
     if B == 1:
         return SkinWeights(np.ones((n, 1)))
 
+    # The returned weights are allocated first and filled in place. Made last,
+    # they would sit amid the sparse factor's memory once it is freed, and a
+    # caller that keeps many results would keep splitting that freed region.
+    cols = np.zeros((n, B))
     anchors, dist = nearest_visible_bones(mesh, skeleton, use_visibility)
     floor = max(1e-8 * bbox_diagonal(mesh), 1e-12)
     heat = heat_coefficient / np.maximum(dist, floor) ** 2
@@ -327,7 +551,6 @@ def heat_diffusion_skinning(
     except Exception:
         solver = None
         warnings.warn("heat system is singular; using one-hot nearest-bone weights")
-    cols = np.zeros((n, B))
     for b in range(B):
         rhs = heat * anchors[:, b]
         if solver is None:
@@ -338,7 +561,7 @@ def heat_diffusion_skinning(
             warnings.warn(f"heat solve for bone {b} failed; using one-hot fallback")
             w = anchors[:, b]
         cols[:, b] = w
-    cols = np.maximum(cols, 0.0)
+    np.maximum(cols, 0.0, out=cols)
     sums = cols.sum(axis=1)
     dead = sums <= 0.0
     if np.any(dead):
@@ -348,7 +571,8 @@ def heat_diffusion_skinning(
         dead_idx = np.flatnonzero(dead)
         cols[dead_idx, np.argmax(anchors[dead_idx], axis=1)] = 1.0
         sums = cols.sum(axis=1)
-    return SkinWeights(cols / sums[:, None])
+    np.divide(cols, sums[:, None], out=cols)
+    return SkinWeights(cols)
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -241,6 +241,19 @@ class TestPipeline:
         assert (tmp_path / "out" / "quarantine").is_dir()
         assert not (tmp_path / "out" / "clip.json").exists()
 
+    def test_non_finite_weights_exit_2(self, assets, tmp_path, capsys):
+        with open(assets["weights"]) as fh:
+            data = json.load(fh)
+        data["rows"][0][0] = float("nan")  # json writes NaN, which json.load accepts
+        bad = tmp_path / "nan_weights.json"
+        bad.write_text(json.dumps(data))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["weights"] = str(bad)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_validation_failure_exit_2(self, assets, tmp_path):
         cfg = pipeline_config_dict(assets, tmp_path / "out")
         cfg["canonical_mesh"] = str(tmp_path / "missing.obj")

@@ -39,6 +39,11 @@ class TestSkinWeights:
         with pytest.raises(ValueError):
             SkinWeights(np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SkinWeights(np.array([[bad, 1.0], [0.5, 0.5]]))
+
     def test_json_roundtrip(self, rng):
         w = rng.random((5, 3))
         w /= w.sum(axis=1, keepdims=True)
