@@ -3,7 +3,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
@@ -11,11 +10,16 @@ sys.path.insert(0, os.path.dirname(__file__))
 from shapes import chain_skeleton, limb_rig, make_capsule  # noqa: E402
 from animrig.skinning import heat_diffusion_skinning  # noqa: E402
 
-# Property tests draw the same examples on every run (no example database, no
-# per-example deadline), so Tier-1 stays repeatable on a slow host.
-settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
-                          max_examples=60)
-settings.load_profile("tier1")
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    settings = None
+if settings is not None:
+    # Property tests draw the same examples on every run (no example database,
+    # no per-example deadline), so Tier-1 stays repeatable on a slow host.
+    settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                              max_examples=60)
+    settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
