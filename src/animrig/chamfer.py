@@ -53,12 +53,13 @@ def as_points(obj) -> np.ndarray:
 
 @dataclass
 class GlobalMatch:
-    """Frozen nearest-neighbor pairing between two clouds, both directions."""
+    """Frozen nearest-neighbor pairing between two clouds, both directions
+    unless the match is one-sided."""
 
     d2_pred: np.ndarray   # squared distance to nearest target, per pred point
     idx_pred: np.ndarray  # matched target index, per pred point
-    d2_target: np.ndarray
-    idx_target: np.ndarray  # matched pred index, per target point
+    d2_target: np.ndarray | None  # None for a one-sided match
+    idx_target: np.ndarray | None  # matched pred index, per target point
 
 
 @dataclass
@@ -80,16 +81,19 @@ class ChamferMatches:
     parts: list = field(default_factory=list)
 
 
-def match_global(pred_points, target_points, target_tree=None) -> GlobalMatch:
+def match_global(pred_points, target_points, target_tree=None, two_sided=True) -> GlobalMatch:
+    """Nearest-neighbor pairing; two_sided=False skips the target-to-pred
+    direction, leaving d2_target and idx_target None."""
     pred_points = as_points(pred_points)
     target_points = as_points(target_points)
     if len(pred_points) == 0 or len(target_points) == 0:
         raise EmptyInputError("chamfer distance of an empty point cloud")
     if target_tree is None:
         target_tree = cKDTree(target_points)
-    pred_tree = cKDTree(pred_points)
     d_p, i_p = target_tree.query(pred_points)
-    d_t, i_t = pred_tree.query(target_points)
+    if not two_sided:
+        return GlobalMatch(d_p**2, i_p, None, None)
+    d_t, i_t = cKDTree(pred_points).query(target_points)
     return GlobalMatch(d_p**2, i_p, d_t**2, i_t)
 
 

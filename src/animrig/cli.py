@@ -272,6 +272,7 @@ def run_pipeline(config: PipelineConfig) -> int:
                 "total_max": report_data["totals"]["final_total_max"],
                 "per_frame_glc": [row["glc"] for row in report_data["frames"]],
             },
+            "unconverged_frames": report_data["totals"]["unconverged_frames"],
         }
 
         if config.retarget_enabled():

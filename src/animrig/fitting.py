@@ -3,12 +3,15 @@
 Each frame's root transform, joint angles, and bone scales are optimized so
 the blend-skinned canonical mesh matches the frame's supervision mesh under
 the global-local chamfer plus regularizers. Frames are solved in temporal
-order. _minimize works in rounds: it freezes the nearest-neighbor
-correspondences, runs bound-constrained L-BFGS on the frozen objective for up
-to 150 iterations, then re-matches and keeps the round only if the true
-objective did not increase. A rejected round falls back to one backtracking
-gradient step of length FALLBACK_STEP. Correspondences are therefore
-re-assigned between rounds, not inside them.
+order. With the nearest-neighbor correspondences frozen, every loss term is
+a sum of squared residuals over the 6 + 4B parameters, so _minimize runs
+Levenberg-Marquardt: FrameObjective.normal_equations forms the Gauss-Newton
+normal equations from a forward-mode dX/dtheta and the loss's Gauss-Newton
+Hessian in X, without building the residual Jacobian. _minimize works in
+rounds of up to STEPS_PER_MATCH damped steps on frozen matches, then
+re-matches and keeps the round only if the true objective did not increase.
+Correspondences are therefore re-assigned between rounds, not inside them.
+Each frame reports why its solve stopped: converged, budget or no-descent.
 
 The fitted frames are returned in one gauge: when the root joint has a single
 child bone, that bone's rotation is folded into the root transform (see
@@ -33,9 +36,6 @@ from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arra
 from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 
 
-# length of the backtracking gradient step taken when a frozen-match round fails
-FALLBACK_STEP = 0.05
-
 _LAMBDAS = ("lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid")
 _NUMERIC_FIELDS = _LAMBDAS + ("max_iters", "convergence_tol")
 
@@ -48,12 +48,12 @@ class FitError(RuntimeError):
 class FitConfig:
     """Loss weights and optimizer settings for fit_motion.
 
-    max_iters caps the L-BFGS iterations plus fallback steps of a frame's
-    final solve (a fallback step can overrun it by 1); the coarse alignment
-    before that solve adds up to max_iters // 2 more. Line searches make
-    gradient evaluations outnumber iterations. A frame stops early once an
-    accepted round lowers the objective by a relative amount below
-    convergence_tol; scale_bounds box-constrains bone scales at every iterate.
+    max_iters caps the Levenberg-Marquardt steps of a frame's final solve
+    (each step is one damped normal-equation solve, kept or not); the coarse
+    alignment before that solve adds about max_iters // 2 more. A frame stops
+    early once an accepted round lowers the objective by a relative amount
+    below convergence_tol, or once no step lowers it (see _minimize);
+    scale_bounds box-constrains bone scales at every iterate.
     lambda_symm only adds the constant lambda_symm * symmetry_loss(canonical)
     to frame 0's objective: it has no gradient and moves no parameter, but it
     enters frame 0's relative-drop convergence test. Every field must be a
@@ -111,15 +111,20 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Per-frame final loss terms plus iteration counts and wall time."""
+    """Per-frame final loss terms, iteration counts, stop reason and wall time.
+
+    stop_reason is the final solve's: "converged", "budget" or "no-descent"
+    (see _minimize).
+    """
 
     frames: list = field(default_factory=list)
 
-    def add_frame(self, index, terms, iterations, wall_time_s):
+    def add_frame(self, index, terms, iterations, wall_time_s, stop_reason):
         for key, value in terms.items():
             if not np.isfinite(value) or value < -1e-12:
                 raise FitError(f"frame {index}: non-finite or negative {key} loss ({value})")
-        row = {"frame": index, "iterations": int(iterations), "wall_time_s": float(wall_time_s)}
+        row = {"frame": index, "iterations": int(iterations), "stop_reason": stop_reason,
+               "wall_time_s": float(wall_time_s)}
         row.update({k: float(v) for k, v in terms.items()})
         self.frames.append(row)
 
@@ -127,10 +132,24 @@ class FitReport:
         totals = {
             "frame_count": len(self.frames),
             "total_iterations": int(sum(r["iterations"] for r in self.frames)),
+            "unconverged_frames": [
+                r["frame"] for r in self.frames if r["stop_reason"] != "converged"
+            ],
             "final_total_max": max((r["total"] for r in self.frames), default=0.0),
             "final_glc_max": max((r["glc"] for r in self.frames), default=0.0),
         }
         return {"frames": self.frames, "totals": totals}
+
+
+@dataclass
+class _PointPairs:
+    """Frozen point pairs of the isotropic terms (see FrameObjective._point_pairs)."""
+
+    vertex: np.ndarray     # deformed-vertex index of each pair
+    target: np.ndarray     # matched target point of each pair, (M, 3)
+    coef: np.ndarray       # weight of the pair's squared distance in its term
+    grad_coef: np.ndarray  # 2 * lambda * coef: the pair's dLoss/dX is grad_coef * difference
+    n_global: int
 
 
 class FrameObjective:
@@ -200,6 +219,13 @@ class FrameObjective:
         else:
             self.symm_constant = 0.0
 
+        # weight x homogeneous canonical vertex, (N, 4B): the skinning blend is
+        # this matrix times the stacked [R_world^T; t_world] of the bones
+        n, b = weights.weights.shape
+        homogeneous = np.hstack([canonical.vertices, np.ones((n, 1))])
+        self.skin_basis = (weights.weights[:, :, None] * homogeneous[:, None, :]).reshape(n, 4 * b)
+        self._pairs = None  # (matches, _PointPairs) of the last matching seen
+
     # --- parameter packing ---------------------------------------------------
 
     def rest_parameters(self):
@@ -250,8 +276,10 @@ class FrameObjective:
 
     def match(self, X):
         cfg = self.config
+        # the point-to-plane metric reads only the pred -> target direction
         gmatch = (
-            ch.match_global(X, self.target_points, self.target_tree)
+            ch.match_global(X, self.target_points, self.target_tree,
+                            two_sided=self.target_normals is None)
             if cfg.lambda_global > 0 else None
         )
         parts = []
@@ -267,43 +295,70 @@ class FrameObjective:
                 )
         return ch.ChamferMatches(global_match=gmatch, parts=parts)
 
+    def _point_pairs(self, matches):
+        """The isotropic point terms of a matching as one flat list of pairs.
+
+        The global point-to-point and the part terms are sums of
+        coef * |X[vertex] - target|^2; pairs [:n_global] make up the global
+        term, the rest the part term. Built once per matching.
+        """
+        if self._pairs is not None and self._pairs[0] is matches:
+            return self._pairs[1]
+        cfg = self.config
+        T = self.target_points
+        n_pred = self.canonical.num_vertices
+        vertex, target, coef, grad_coef = [], [], [], []
+        m = matches.global_match
+        if cfg.lambda_global > 0 and m is not None and self.target_normals is None:
+            vertex += [np.arange(n_pred), m.idx_target]
+            target += [T[m.idx_pred], T]
+            coef += [np.full(n_pred, 1.0 / n_pred), np.full(len(T), 1.0 / len(T))]
+            grad_coef += [2.0 * cfg.lambda_global * c for c in coef]
+        n_global = sum(len(v) for v in vertex)
+        if cfg.lambda_local > 0:
+            for pm in matches.parts:
+                scale = 1.0 / len(matches.parts)
+                vertex += [pm.pred_indices, pm.target_to_pred]
+                target += [T[pm.pred_to_target], T[pm.target_indices]]
+                part = [pm.pred_conf * (scale / len(pm.pred_indices)),
+                        pm.target_conf * (scale / len(pm.target_indices))]
+                coef += part
+                grad_coef += [2.0 * cfg.lambda_local * c for c in part]
+        pairs = _PointPairs(
+            vertex=np.concatenate(vertex + [np.zeros(0, dtype=np.intp)]),
+            target=np.concatenate(target + [np.zeros((0, 3))]),
+            coef=np.concatenate(coef + [np.zeros(0)]),
+            grad_coef=np.concatenate(grad_coef + [np.zeros(0)]),
+            n_global=n_global,
+        )
+        self._pairs = (matches, pairs)
+        return pairs
+
     def _loss(self, X, matches):
         """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
         cfg = self.config
         terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0, "symm": self.symm_constant}
         G = np.zeros_like(X)
         n_pred = len(X)
-        if cfg.lambda_global > 0 and matches.global_match is not None:
-            m = matches.global_match
-            a = X - self.target_points[m.idx_pred]
-            if self.target_normals is not None:
-                # damped point-to-plane: tangential sliding is cheap, not free
-                n = self.target_normals[m.idx_pred]
-                dots = np.einsum("ni,ni->n", a, n)
-                d2 = np.einsum("ni,ni->n", a, a)
-                terms["global"] = float(np.mean(dots**2 + self.plane_damping * d2))
-                G += (2.0 * cfg.lambda_global / n_pred) * (
-                    dots[:, None] * n + self.plane_damping * a
-                )
-            else:
-                b = X[m.idx_target] - self.target_points
-                terms["global"] = float(np.mean(np.einsum("ni,ni->n", a, a)))
-                terms["global"] += float(np.mean(np.einsum("ni,ni->n", b, b)))
-                G += (2.0 * cfg.lambda_global / n_pred) * a
-                np.add.at(G, m.idx_target, (2.0 * cfg.lambda_global / len(b)) * b)
-        if cfg.lambda_local > 0:
-            terms["local"] = ch.part_match_value(X, self.target_points, matches.parts)
-            for pm in matches.parts:
-                scale = cfg.lambda_local / len(matches.parts)
-                diff_p = X[pm.pred_indices] - self.target_points[pm.pred_to_target]
-                G[pm.pred_indices] += (
-                    (2.0 * scale / len(pm.pred_indices)) * pm.pred_conf[:, None] * diff_p
-                )
-                diff_t = X[pm.target_to_pred] - self.target_points[pm.target_indices]
-                np.add.at(
-                    G, pm.target_to_pred,
-                    (2.0 * scale / len(pm.target_indices)) * pm.target_conf[:, None] * diff_t,
-                )
+        pairs = self._point_pairs(matches)
+        if len(pairs.vertex):
+            diff = X[pairs.vertex] - pairs.target
+            wd2 = pairs.coef * np.einsum("ni,ni->n", diff, diff)
+            terms["global"] = float(np.sum(wd2[:pairs.n_global]))
+            terms["local"] = float(np.sum(wd2[pairs.n_global:]))
+            scaled = pairs.grad_coef[:, None] * diff
+            for k in range(3):
+                G[:, k] = np.bincount(pairs.vertex, scaled[:, k], minlength=n_pred)
+        if cfg.lambda_global > 0 and self.target_normals is not None \
+                and matches.global_match is not None:
+            # damped point-to-plane: tangential sliding is cheap, not free
+            idx = matches.global_match.idx_pred
+            a = X - self.target_points[idx]
+            n = self.target_normals[idx]
+            dots = np.einsum("ni,ni->n", a, n)
+            d2 = np.einsum("ni,ni->n", a, a)
+            terms["global"] = float(np.mean(dots**2 + self.plane_damping * d2))
+            G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + self.plane_damping * a)
         if cfg.lambda_lap > 0:
             residual = self.lap_op @ X
             terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
@@ -318,8 +373,9 @@ class FrameObjective:
                 dlen / np.maximum(lengths, 1e-30)
             )
             contrib = coeff[:, None] * d
-            np.add.at(G, i, contrib)
-            np.add.at(G, j, -contrib)
+            for k in range(3):
+                G[:, k] += np.bincount(i, contrib[:, k], minlength=n_pred)
+                G[:, k] -= np.bincount(j, contrib[:, k], minlength=n_pred)
         terms["glc"] = cfg.lambda_global * terms["global"] + cfg.lambda_local * terms["local"]
         terms["total"] = (
             terms["glc"]
@@ -400,86 +456,202 @@ class FrameObjective:
         grad[6:6 + 3 * B] = g_rv[1:].ravel()
         return grad, terms["total"], matches
 
+    # --- Gauss-Newton normal equations --------------------------------------------
 
-def _descent_fallback(objective, theta, f_curr, matches):
-    """Plain gradient step with backtracking; returns an accepted point or None."""
-    grad, _, _ = objective.gradient(theta, matches)
-    norm = np.linalg.norm(grad)
-    if norm == 0.0:
-        return None
-    step = FALLBACK_STEP / norm
-    for _ in range(30):
-        theta_try = objective.project(theta - step * grad)
-        f_try, terms_try, matches_try = objective.evaluate(theta_try)
-        if f_try <= f_curr:
-            return theta_try, f_try, terms_try, matches_try
-        step *= 0.5
-    return None
+    def normal_equations(self, theta, matches=None):
+        """Gauss-Newton normal equations of the frozen-match objective at theta.
+
+        Returns (H, g, terms, matches). With dX = dX/dtheta from forward mode
+        and G = dLoss/dX, g = dX^T G is the exact gradient and
+        H = dX^T (Gauss-Newton Hessian of the loss in X) dX. The residual
+        Jacobian is never formed: H is summed from per-vertex 3x3 blocks (the
+        point and damped point-to-plane terms), L^T L (the Laplacian term) and
+        per-edge rank-1 blocks (the rigidity term). When matches is None a
+        fresh matching at theta is built first.
+        """
+        cfg = self.config
+        fw = self._forward(theta)
+        X = fw["X"]
+        if matches is None:
+            matches = self.match(X)
+        terms, G = self._loss(X, matches)
+        dX = self._deform_jacobian(fw)
+        n, P = len(X), self.num_params
+        D = dX.reshape(3 * n, P)
+        g = D.T @ G.ravel()
+
+        pairs = self._point_pairs(matches)
+        weight = np.bincount(pairs.vertex, pairs.grad_coef, minlength=n)
+        H = np.zeros((P, P))
+        if cfg.lambda_global > 0 and self.target_normals is not None \
+                and matches.global_match is not None:
+            c = 2.0 * cfg.lambda_global / n
+            weight = weight + c * self.plane_damping
+            dn = np.einsum("nip,ni->np", dX, self.target_normals[matches.global_match.idx_pred])
+            H += c * (dn.T @ dn)
+        H += D.T @ (np.repeat(weight, 3)[:, None] * D)
+        if cfg.lambda_lap > 0:
+            LD = (self.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
+            H += (2.0 * cfg.lambda_lap / n) * (LD.T @ LD)
+        if cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None:
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            d = X[i] - X[j]
+            u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-30)[:, None]
+            # d(edge length)/dtheta, one row per edge
+            J = sum(u[:, k, None] * (dX[i, k] - dX[j, k]) for k in range(3))
+            H += (2.0 * cfg.lambda_rigid / len(self.edges)) * (J.T @ J)
+        return H, g, terms, matches
+
+    def _deform_jacobian(self, fw):
+        """Forward-mode dX/dtheta of a forward pass, as (N, 3, P)."""
+        B = self.num_bones
+        n = len(fw["X"])
+        dR = rot.rotation_matrix_derivatives(
+            np.vstack([fw["rv"], fw["angles"]]),
+            np.concatenate([fw["R0"][None], fw["R_local"]]),
+        )
+        dX = np.empty((n, 3, self.num_params))
+        # X = R0 blended + t0, so dX/drv_c = dR0/drv_c blended
+        dX[:, :, :3] = (fw["blended"] @ dR[0].transpose(2, 1, 0).reshape(3, 9)).reshape(n, 3, 3)
+        dX[:, :, 3:6] = np.eye(3)
+        if B:
+            M = np.einsum("ij,rjp->rip", fw["R0"], self._fk_tangents(fw, dR[1:]))
+            dX[:, :, 6:] = (self.skin_basis @ M.reshape(4 * B, -1)).reshape(n, 3, 4 * B)
+        return dX
+
+    def _fk_tangents(self, fw, dR_local):
+        """Derivatives of every bone's stacked [R_world^T; t_world] by the bone
+        parameters (angles, then scales), as (4B, 3, 4B), carried down the FK
+        chain of fk_arrays."""
+        skel = self.skeleton
+        B = self.num_bones
+        parent_pos = skel.joints[skel.bone_parent_joints]
+        stretch = (fw["scales"] - 1.0)[:, None] * skel.rest_lengths[:, None] * skel.bone_directions
+        dRw = np.zeros((B, 4 * B, 3, 3))
+        dtw = np.zeros((B, 4 * B, 3))
+        for b in skel.bone_order:
+            p = int(skel.bone_parent_bones[b])
+            if p >= 0:
+                # R_world = R_world[p] R_local, t_world = R_world[p] t_local + t_world[p]
+                dRw[b] = dRw[p] @ fw["R_local"][b]
+                dtw[b] = dRw[p] @ fw["t_local"][b] + dtw[p]
+                Rp = fw["R_world"][p]
+            else:
+                Rp = np.eye(3)
+            # t_local = R_local (stretch - parent) + parent, stretch linear in the scale
+            own = slice(3 * b, 3 * b + 3)
+            dRw[b, own] += Rp @ dR_local[b]
+            dtw[b, own] += (dR_local[b] @ (stretch[b] - parent_pos[b])) @ Rp.T
+            dtw[b, 3 * B + b] += Rp @ fw["R_local"][b] @ (
+                skel.rest_lengths[b] * skel.bone_directions[b]
+            )
+        M = np.empty((B, 4, 3, 4 * B))
+        M[:, :3] = dRw.transpose(0, 3, 2, 1)
+        M[:, 3] = dtw.transpose(0, 2, 1)
+        return M.reshape(4 * B, 3, 4 * B)
+
+
+# LM steps taken on one frozen matching before re-matching
+STEPS_PER_MATCH = 2
+# Marquardt damping mu of (H + mu diag(H)) step = -g: its start, its floor and
+# its ceiling; a frame whose mu passes the ceiling stops with "no-descent"
+DAMPING_START = 1e-3
+DAMPING_MIN = 1e-9
+DAMPING_MAX = 1e9
+# rounds in a row whose re-matching raised the objective before a frame stops
+# with "no-descent": the step crosses a change of matches, not a model error
+MAX_REJECTED_ROUNDS = 3
+
+
+def _lm_step(objective: FrameObjective, theta, H, g, damping):
+    """Solve the damped normal equations for one step from theta.
+
+    A bone scale at a bound that the gradient pushes against is held fixed,
+    so the other parameters are solved for without it.
+    """
+    s = 6 + 3 * objective.num_bones
+    lo, hi = objective.config.scale_bounds
+    free = np.ones(len(theta), dtype=bool)
+    free[s:] = ~(((theta[s:] <= lo) & (g[s:] > 0)) | ((theta[s:] >= hi) & (g[s:] < 0)))
+    Hf = H[np.ix_(free, free)]
+    diag = np.diag(Hf)
+    # a zero diagonal entry is a parameter the loss does not read (zero row and column)
+    A = Hf + damping * np.diag(np.where(diag > 0, diag, 1.0))
+    step = np.zeros_like(theta)
+    step[free] = np.linalg.solve(A, -g[free])
+    return step
 
 
 def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None):
-    """Correspondence-reassignment rounds with monotone acceptance.
+    """Levenberg-Marquardt on frozen-match rounds with monotone acceptance.
 
-    Each round freezes the nearest-neighbor matches and minimizes the (smooth)
-    frozen objective with bound-constrained L-BFGS, then re-matches and keeps
-    the round only if the true objective did not increase; a rejected round or
-    a failed line search falls back to a plain backtracking gradient step of
-    length FALLBACK_STEP. max_iters caps the L-BFGS iterations plus fallback
-    steps; a fallback step taken once the cap is reached overruns it by 1.
-    Line searches make gradient evaluations outnumber iterations. Accepted
-    rounds are non-increasing in the true objective, and bone scales respect
-    scale_bounds at every iterate. history, when given, collects the
-    objective value after every accepted round.
+    Each round freezes the nearest-neighbor matches and takes up to
+    STEPS_PER_MATCH damped Gauss-Newton steps on the frozen objective: solve
+    (H + mu diag(H)) step = -g with FrameObjective.normal_equations, clip the
+    bone scales into scale_bounds, and keep the step only if the frozen
+    objective fell. The round then re-matches and is kept only if the true
+    objective did not increase; a rejected round is retried from the same
+    point. mu shrinks 3-fold on every kept step and grows on every rejected
+    step or round, by a factor that doubles while rejections follow each
+    other. max_iters caps the LM steps. Accepted rounds are non-increasing in
+    the true objective, and bone scales respect scale_bounds at every iterate.
+    history, when given, collects the objective value after every accepted
+    round.
+
+    Returns (theta, objective value, terms, iterations, stop_reason), where
+    stop_reason is "converged" (an accepted round lowered the objective by a
+    relative amount below convergence_tol, or no step changes the frozen
+    objective by more than that), "budget" (max_iters steps taken) or
+    "no-descent" (MAX_REJECTED_ROUNDS rounds in a row raised the objective, or
+    mu passed DAMPING_MAX).
     """
-    from scipy.optimize import minimize as scipy_minimize
-
+    tol = config.convergence_tol
     theta = objective.project(np.asarray(theta0, dtype=np.float64))
-    f_curr, terms, matches = objective.evaluate(theta)
+    H, g, terms, matches = objective.normal_equations(theta)
+    f_curr = terms["total"]
     if history is not None:
         history.append(f_curr)
-    nb = objective.num_bones
-    lo, hi = config.scale_bounds
-    bounds = [(None, None)] * (6 + 3 * nb) + [(lo, hi)] * nb
-
+    damping, growth = DAMPING_START, 2.0
     iterations = 0
-    budget = config.max_iters
-    while budget > 0:
-        frozen = matches
-
-        def frozen_obj(x):
-            grad, value, _ = objective.gradient(x, frozen)
-            return value, grad
-
-        result = scipy_minimize(
-            frozen_obj,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": min(150, budget), "ftol": 1e-16, "gtol": 1e-14},
-        )
-        inner = max(int(result.nit), 1)
-        iterations += inner
-        budget -= inner
-        accepted = None
-        if np.all(np.isfinite(result.x)):
-            f_try, terms_try, matches_try = objective.evaluate(result.x)
-            if f_try <= f_curr:
-                accepted = (result.x, f_try, terms_try, matches_try)
-        if accepted is None:
-            accepted = _descent_fallback(objective, theta, f_curr, matches)
+    rejected = 0
+    while True:
+        if not np.any(g):
+            return theta, f_curr, terms, iterations, "converged"
+        if iterations >= config.max_iters:
+            return theta, f_curr, terms, iterations, "budget"
+        if damping > DAMPING_MAX or rejected >= MAX_REJECTED_ROUNDS:
+            return theta, f_curr, terms, iterations, "no-descent"
+        theta_r, f_r, H_r, g_r = theta, f_curr, H, g
+        flat = False
+        for k in range(min(STEPS_PER_MATCH, config.max_iters - iterations)):
+            if k:
+                H_r, g_r, _, _ = objective.normal_equations(theta_r, matches)
             iterations += 1
-            budget -= 1
-            if accepted is None:
+            theta_t = objective.project(theta_r + _lm_step(objective, theta_r, H_r, g_r, damping))
+            f_t = objective.value(theta_t, matches)
+            if f_t >= f_r:
+                flat = f_t - f_r <= tol * abs(f_r)
+                damping, growth = damping * growth, growth * 2.0
                 break
-        theta, f_try, terms, matches = accepted
-        rel_drop = (f_curr - f_try) / max(abs(f_curr), 1e-300)
-        f_curr = f_try
+            theta_r, f_r = theta_t, f_t
+            damping = max(damping / 3.0, DAMPING_MIN)
+        if theta_r is theta:
+            if flat:
+                return theta, f_curr, terms, iterations, "converged"
+            continue
+        H_n, g_n, terms_n, matches_n = objective.normal_equations(theta_r)
+        if terms_n["total"] > f_curr:
+            rejected += 1
+            damping, growth = damping * growth, growth * 2.0
+            continue
+        rejected, growth = 0, 2.0
+        rel_drop = (f_curr - terms_n["total"]) / max(abs(f_curr), 1e-300)
+        theta, H, g, terms, matches = theta_r, H_n, g_n, terms_n, matches_n
+        f_curr = terms["total"]
         if history is not None:
             history.append(f_curr)
-        if rel_drop < config.convergence_tol:
-            break
-    return theta, f_curr, terms, iterations
+        if rel_drop < tol:
+            return theta, f_curr, terms, iterations, "converged"
 
 
 def fold_root_bone(skeleton: Skeleton, frame: MotionFrame) -> MotionFrame:
@@ -558,7 +730,7 @@ def _align_coarse(coarse: FrameObjective, theta0, config):
     for damping, share in ((0.25, 0.5), (0.03, 0.5)):
         coarse.plane_damping = damping
         stage_cfg = replace(coarse.config, max_iters=max(int(budget * share), 1))
-        theta, _, _, used = _minimize(coarse, theta, stage_cfg)
+        theta, _, _, used, _ = _minimize(coarse, theta, stage_cfg)
         iterations += used
     return theta, iterations
 
@@ -643,7 +815,7 @@ def fit_motion(
             canonical, skeleton, weights, target, config,
             prev_vertices=prev_vertices, target_weights=target_w, frame_index=t,
         )
-        theta, _, terms, used = _minimize(objective, theta_aligned, config)
+        theta, _, terms, used, stop_reason = _minimize(objective, theta_aligned, config)
         iterations += used
         # the fold only changes how the pose is written, so the next frame's
         # warm start and rigidity reference still come from theta
@@ -651,5 +823,5 @@ def fit_motion(
         prev_vertices = objective.deform(theta)
         theta_prev2 = theta_prev
         theta_prev = theta
-        report.add_frame(t, terms, iterations, time.perf_counter() - start)
+        report.add_frame(t, terms, iterations, time.perf_counter() - start, stop_reason)
     return MotionClip(tuple(frames)), report

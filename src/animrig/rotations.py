@@ -179,3 +179,18 @@ def rotation_vector_gradient(grads, rotvecs, rotations):
         trace = np.einsum("bii->b", Gl)
         out[idx] = g + 0.5 * np.einsum("bij,bj->bi", sym, ql) - trace[:, None] * ql
     return out[0] if single else out
+
+
+def rotation_matrix_derivatives(rotvecs, rotations):
+    """Forward-mode Rodrigues derivative: dR/dq_c as (K, 3, 3, 3), indexed [k, c, i, j].
+
+    rotvecs are (K, 3) and rotations their (K, 3, 3) matrices. Since
+    rotation_vector_gradient is the adjoint of this map, pulling back each of
+    the 9 basis matrices E_ij gives dR_ij/dq in one batched call.
+    """
+    K = len(rotvecs)
+    basis = np.broadcast_to(np.eye(9).reshape(1, 9, 3, 3), (K, 9, 3, 3)).reshape(-1, 3, 3)
+    d = rotation_vector_gradient(
+        basis, np.repeat(rotvecs, 9, axis=0), np.repeat(rotations, 9, axis=0)
+    )
+    return d.reshape(K, 3, 3, 3).transpose(0, 3, 1, 2)

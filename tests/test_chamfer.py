@@ -6,6 +6,7 @@ from animrig.chamfer import (
     chamfer_global,
     chamfer_local,
     global_local_chamfer,
+    match_global,
 )
 from animrig.geometry import EmptyInputError
 from animrig.skinning import SkinWeights
@@ -77,6 +78,15 @@ class TestChamferGlobal:
     def test_accepts_point_cloud_type(self, rng):
         a = PointCloud(rng.normal(size=(10, 3)))
         assert chamfer_global(a, a) == 0.0
+
+    def test_one_sided_match_keeps_the_pred_direction(self, rng):
+        a = rng.normal(size=(70, 3))
+        b = rng.normal(size=(90, 3))
+        both = match_global(a, b)
+        one = match_global(a, b, two_sided=False)
+        assert np.array_equal(one.idx_pred, both.idx_pred)
+        assert np.array_equal(one.d2_pred, both.d2_pred)
+        assert one.idx_target is None and one.d2_target is None
 
 
 class TestChamferLocal:

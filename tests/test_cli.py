@@ -220,6 +220,20 @@ class TestPipeline:
         assert summary["final_losses"]["glc_max"] < 0.02 * diag**2
         assert len(os.listdir(out_dir / "frames")) == 3
 
+    def test_reports_why_each_frame_stopped(self, assets, tmp_path):
+        out_dir = tmp_path / "run"
+        cfg = pipeline_config_dict(assets, out_dir)
+        cfg["fit"]["max_iters"] = 1
+        assert run_pipeline(PipelineConfig.from_dict(cfg)) == 0
+        report = json.loads((out_dir / "fit_report.json").read_text())
+        reasons = [row["stop_reason"] for row in report["frames"]]
+        assert set(reasons) <= {"converged", "budget", "no-descent"}
+        assert "budget" in reasons
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["unconverged_frames"] == [
+            row["frame"] for row in report["frames"] if row["stop_reason"] != "converged"
+        ]
+
     def test_determinism_byte_identical(self, assets, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -170,6 +170,77 @@ class TestObjectiveGradient:
         assert all(terms[k] > 0 for k in ("global", "local", "lap", "rigid", "symm"))
 
 
+class TestNormalEquations:
+    """Forward-mode dX/dtheta and the Gauss-Newton system built from it."""
+
+    @pytest.mark.parametrize("angle", [0.5, 5e-5])
+    def test_deform_jacobian_matches_central_differences(self, rig, rng, angle):
+        mesh, skel, w = rig
+        obj = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        b = obj.num_bones
+        theta = obj.rest_parameters()
+        theta[:3] = [0.4, -0.7, 0.3]  # root away from the identity
+        theta[3:6] = [0.1, 0.2, -0.3]
+        # angle 5e-5 keeps every bone below the 1e-4 rad series branch
+        theta[6:6 + 3 * b] = rng.uniform(-angle, angle, 3 * b) / np.sqrt(3)
+        theta[6 + 3 * b:] = rng.uniform(0.9, 1.1, b)
+        dX = obj._deform_jacobian(obj._forward(theta))
+        assert dX.shape == (mesh.num_vertices, 3, len(theta))
+        worst = 0.0
+        for i in range(len(theta)):
+            h = 1e-6
+            tp = theta.copy()
+            tp[i] += h
+            tm = theta.copy()
+            tm[i] -= h
+            fd = (obj.deform(tp) - obj.deform(tm)) / (2 * h)
+            worst = max(worst, np.abs(dX[:, :, i] - fd).max() / np.abs(fd).max())
+        assert worst < 1e-7
+
+    def test_assembled_gradient_equals_gradient(self, rig, rng):
+        mesh, skel, w = rig
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
+        pts, normals = surface_samples(target)
+        plane = FrameObjective(
+            mesh, skel, w, target, FitConfig(lambda_local=0),
+            target_points=pts, target_normals=normals, frame_index=1,
+        )
+        regularized = FrameObjective(
+            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            prev_vertices=helper.deform(random_theta(helper, rng)),
+            target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
+        )
+        for obj in (plane, regularized):
+            theta = random_theta(obj, rng)
+            H, g, terms, matches = obj.normal_equations(theta)
+            grad, total, _ = obj.gradient(theta, matches)
+            assert np.abs(g - grad).max() <= 1e-10 * np.abs(grad).max()
+            assert terms["total"] == total
+            assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
+
+    def test_hessian_is_exact_where_residuals_vanish(self, rig, rng):
+        # with every residual zero the Gauss-Newton matrix is the true Hessian
+        mesh, skel, w = rig
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        theta = random_theta(helper, rng)
+        posed = helper.deform(theta)
+        cfg = FitConfig(lambda_symm=0, lambda_lap=0, lambda_rigid=0.7)
+        obj = FrameObjective(mesh, skel, w, mesh.with_vertices(posed), cfg,
+                             prev_vertices=posed, target_weights=w, frame_index=1)
+        H, _, terms, matches = obj.normal_equations(theta)
+        assert terms["total"] < 1e-24
+        fd = np.zeros_like(H)
+        for i in range(len(theta)):
+            h = 1e-6
+            tp = theta.copy()
+            tp[i] += h
+            tm = theta.copy()
+            tm[i] -= h
+            fd[:, i] = (obj.gradient(tp, matches)[0] - obj.gradient(tm, matches)[0]) / (2 * h)
+        assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
+
+
 class TestFitMotion:
     def test_canonical_supervision_recovers_rest(self, rig):
         mesh, skel, w = rig
@@ -266,6 +337,26 @@ class TestFitMotion:
             clip, _ = fit_motion(mesh, skel, w, noisy, cfg)
             jumps[lam] = max_interframe_jump(deform_clip(mesh, skel, w, clip))
         assert jumps[1.0] < jumps[0.0]
+
+    def test_noise_free_fit_converges_on_every_frame(self, rig):
+        mesh, skel, w = rig
+        gt = smooth_clip(np.random.default_rng(1), skel.num_bones, 4)
+        supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+        _, report = fit_motion(mesh, skel, w, supervision, FitConfig(),
+                               supervision_weights=[w] * 4)
+        data = report.to_dict()
+        assert [row["stop_reason"] for row in data["frames"]] == ["converged"] * 4
+        assert data["totals"]["unconverged_frames"] == []
+
+    def test_budget_stop_is_reported(self, rig):
+        mesh, skel, w = rig
+        gt = smooth_clip(np.random.default_rng(1), skel.num_bones, 2)
+        supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0, max_iters=1)
+        _, report = fit_motion(mesh, skel, w, supervision, cfg)
+        data = report.to_dict()
+        assert data["frames"][1]["stop_reason"] == "budget"
+        assert 1 in data["totals"]["unconverged_frames"]
 
     def test_empty_supervision_rejected(self, rig):
         mesh, skel, w = rig
