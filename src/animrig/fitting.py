@@ -7,7 +7,8 @@ order. With the nearest-neighbor correspondences frozen, every loss term is
 a sum of squared residuals over the 6 + 4B parameters, so _minimize runs
 Levenberg-Marquardt: FrameObjective.normal_equations forms the Gauss-Newton
 normal equations from a forward-mode dX/dtheta and the loss's Gauss-Newton
-Hessian in X, without building the residual Jacobian. _minimize works in
+Hessian in X, without building the residual Jacobian, mostly through small
+moments of the fixed skin basis that dX/dtheta is linear in. _minimize works in
 rounds of up to STEPS_PER_MATCH damped steps on frozen matches, then
 re-matches and keeps the round only if the true objective did not increase.
 Correspondences are therefore re-assigned between rounds, not inside them.
@@ -150,6 +151,7 @@ class _PointPairs:
     coef: np.ndarray       # weight of the pair's squared distance in its term
     grad_coef: np.ndarray  # 2 * lambda * coef: the pair's dLoss/dX is grad_coef * difference
     n_global: int
+    moments: np.ndarray    # S1^T diag(summed grad_coef per vertex) S1, for the Hessian
 
 
 class FrameObjective:
@@ -161,6 +163,15 @@ class FrameObjective:
     term is the one-sided damped point-to-plane distance from the deformed
     vertices to target_points; without, it is the two-sided point-to-point
     chamfer.
+
+    The deformed vertices and their Jacobian are linear in the fixed skin
+    basis S1 = [weight x homogeneous vertex, 1] (N x (4B + 1)), so the
+    objective keeps the moments S1^T S1 and, with lambda_lap > 0,
+    (L S1)^T (L S1) for normal_equations. It also keeps its last two forward
+    passes (keyed by theta's bytes, each holding its own copy of theta) and
+    its last loss evaluation (keyed by that pass's vertices, the matching
+    object and plane_damping), so value, gradient and normal_equations at
+    one theta and matching share that work.
     """
 
     def __init__(
@@ -219,12 +230,24 @@ class FrameObjective:
         else:
             self.symm_constant = 0.0
 
-        # weight x homogeneous canonical vertex, (N, 4B): the skinning blend is
-        # this matrix times the stacked [R_world^T; t_world] of the bones
+        # weight x homogeneous canonical vertex, then a ones column, (N, 4B + 1):
+        # the skinning blend is the first 4B columns times the stacked
+        # [R_world^T; t_world] of the bones; the ones column carries the root
+        # translation exactly even where weight rows do not sum to exactly 1
         n, b = weights.weights.shape
         homogeneous = np.hstack([canonical.vertices, np.ones((n, 1))])
-        self.skin_basis = (weights.weights[:, :, None] * homogeneous[:, None, :]).reshape(n, 4 * b)
+        self.skin_basis = np.hstack([
+            (weights.weights[:, :, None] * homogeneous[:, None, :]).reshape(n, 4 * b),
+            np.ones((n, 1)),
+        ])
+        self.basis_moments = self.skin_basis.T @ self.skin_basis
+        lap_basis = self.lap_op @ self.skin_basis if config.lambda_lap > 0 else None
+        self.lap_moments = None if lap_basis is None else lap_basis.T @ lap_basis
         self._pairs = None  # (matches, _PointPairs) of the last matching seen
+        # theta bytes -> forward pass, the last two: a rejected second step
+        # sends _minimize back to the pass before it
+        self._passes = {}
+        self._last_loss = None  # (X, matches, plane_damping, terms, G) of the last loss
 
     # --- parameter packing ---------------------------------------------------
 
@@ -269,8 +292,24 @@ class FrameObjective:
             "blended": blended, "R0": R0, "X": X,
         }
 
+    def _pass(self, theta):
+        """The forward pass at theta, reused while theta's bytes are unchanged.
+
+        The pass is computed from a private copy of theta, so changing the
+        caller's array in place changes the key, not the cached pass.
+        """
+        theta = np.asarray(theta, dtype=np.float64)
+        key = theta.tobytes()
+        fw = self._passes.get(key)
+        if fw is None:
+            fw = self._forward(theta.copy())
+            self._passes[key] = fw
+            if len(self._passes) > 2:
+                del self._passes[next(iter(self._passes))]
+        return fw
+
     def deform(self, theta):
-        return self._forward(theta)["X"]
+        return self._pass(theta)["X"].copy()
 
     # --- matching and loss values ----------------------------------------------
 
@@ -324,15 +363,32 @@ class FrameObjective:
                         pm.target_conf * (scale / len(pm.target_indices))]
                 coef += part
                 grad_coef += [2.0 * cfg.lambda_local * c for c in part]
+        vertex = np.concatenate(vertex + [np.zeros(0, dtype=np.intp)])
+        grad_coef = np.concatenate(grad_coef + [np.zeros(0)])
+        S1 = self.skin_basis
+        weight = np.bincount(vertex, grad_coef, minlength=n_pred)
+        moments = (S1 * weight[:, None]).T @ S1 if len(vertex) else np.zeros((S1.shape[1],) * 2)
         pairs = _PointPairs(
-            vertex=np.concatenate(vertex + [np.zeros(0, dtype=np.intp)]),
+            vertex=vertex,
             target=np.concatenate(target + [np.zeros((0, 3))]),
             coef=np.concatenate(coef + [np.zeros(0)]),
-            grad_coef=np.concatenate(grad_coef + [np.zeros(0)]),
+            grad_coef=grad_coef,
             n_global=n_global,
+            moments=moments,
         )
         self._pairs = (matches, pairs)
         return pairs
+
+    def _loss_at(self, fw, matches):
+        """Loss terms and dLoss/dX of a forward pass, reused while the pass, the
+        matching object and plane_damping stay the same."""
+        X = fw["X"]
+        last = self._last_loss
+        if last is None or last[0] is not X or last[1] is not matches \
+                or last[2] != self.plane_damping:
+            last = (X, matches, self.plane_damping) + self._loss(X, matches)
+            self._last_loss = last
+        return dict(last[3]), last[4]
 
     def _loss(self, X, matches):
         """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
@@ -390,10 +446,10 @@ class FrameObjective:
 
     def evaluate(self, theta, matches=None):
         """Objective at theta. Fresh correspondences unless matches is given."""
-        X = self.deform(theta)
+        fw = self._pass(theta)
         if matches is None:
-            matches = self.match(X)
-        terms, _ = self._loss(X, matches)
+            matches = self.match(fw["X"])
+        terms, _ = self._loss_at(fw, matches)
         return terms["total"], terms, matches
 
     def value(self, theta, matches=None):
@@ -407,11 +463,10 @@ class FrameObjective:
         Returns (gradient, total, matches). When matches is None a fresh
         matching at theta is built first.
         """
-        fw = self._forward(theta)
-        X = fw["X"]
+        fw = self._pass(theta)
         if matches is None:
-            matches = self.match(X)
-        terms, G = self._loss(X, matches)
+            matches = self.match(fw["X"])
+        terms, G = self._loss_at(fw, matches)
 
         skel = self.skeleton
         B = self.num_bones
@@ -461,39 +516,45 @@ class FrameObjective:
     def normal_equations(self, theta, matches=None):
         """Gauss-Newton normal equations of the frozen-match objective at theta.
 
-        Returns (H, g, terms, matches). With dX = dX/dtheta from forward mode
-        and G = dLoss/dX, g = dX^T G is the exact gradient and
-        H = dX^T (Gauss-Newton Hessian of the loss in X) dX. The residual
-        Jacobian is never formed: H is summed from per-vertex 3x3 blocks (the
-        point and damped point-to-plane terms), L^T L (the Laplacian term) and
-        per-edge rank-1 blocks (the rigidity term). When matches is None a
-        fresh matching at theta is built first.
+        Returns (H, g, terms, matches). Every column of dX/dtheta is the skin
+        basis S1 (N x (4B + 1)) times a small coefficient matrix, dX = S1 A
+        with A of shape (4B + 1, 3, P) from the FK chain (_basis_tangents).
+        So with G = dLoss/dX the exact gradient is g = A^T vec(S1^T G), and
+        the isotropic blocks of H = dX^T (Gauss-Newton Hessian of the loss in
+        X) dX are sum_i A_i^T K A_i for one (4B + 1)-square K: the point
+        pairs' per-vertex weights, the point-to-plane damping and the
+        Laplacian term enter as moments of S1 (see FrameObjective). dX itself
+        is formed only for the point-to-plane normal term and the per-edge
+        rank-1 rigidity term. When matches is None a fresh matching at theta
+        is built first.
         """
         cfg = self.config
-        fw = self._forward(theta)
+        fw = self._pass(theta)
         X = fw["X"]
         if matches is None:
             matches = self.match(X)
-        terms, G = self._loss(X, matches)
-        dX = self._deform_jacobian(fw)
-        n, P = len(X), self.num_params
-        D = dX.reshape(3 * n, P)
-        g = D.T @ G.ravel()
+        terms, G = self._loss_at(fw, matches)
+        A = self._basis_tangents(fw)
+        n, P, r = len(X), self.num_params, len(A)
+        A_rows = A.reshape(3 * r, P)
+        g = A_rows.T @ (self.skin_basis.T @ G).ravel()
 
-        pairs = self._point_pairs(matches)
-        weight = np.bincount(pairs.vertex, pairs.grad_coef, minlength=n)
-        H = np.zeros((P, P))
-        if cfg.lambda_global > 0 and self.target_normals is not None \
-                and matches.global_match is not None:
+        K = self._point_pairs(matches).moments
+        plane = cfg.lambda_global > 0 and self.target_normals is not None \
+            and matches.global_match is not None
+        if plane:
             c = 2.0 * cfg.lambda_global / n
-            weight = weight + c * self.plane_damping
+            K = K + (c * self.plane_damping) * self.basis_moments
+        if cfg.lambda_lap > 0:
+            K = K + (2.0 * cfg.lambda_lap / n) * self.lap_moments
+        H = A_rows.T @ (K @ A.reshape(r, 3 * P)).reshape(3 * r, P)
+        rigid = cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None
+        if plane or rigid:
+            dX = (self.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
+        if plane:
             dn = np.einsum("nip,ni->np", dX, self.target_normals[matches.global_match.idx_pred])
             H += c * (dn.T @ dn)
-        H += D.T @ (np.repeat(weight, 3)[:, None] * D)
-        if cfg.lambda_lap > 0:
-            LD = (self.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
-            H += (2.0 * cfg.lambda_lap / n) * (LD.T @ LD)
-        if cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None:
+        if rigid:
             i, j = self.edges[:, 0], self.edges[:, 1]
             d = X[i] - X[j]
             u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-30)[:, None]
@@ -502,22 +563,29 @@ class FrameObjective:
             H += (2.0 * cfg.lambda_rigid / len(self.edges)) * (J.T @ J)
         return H, g, terms, matches
 
-    def _deform_jacobian(self, fw):
-        """Forward-mode dX/dtheta of a forward pass, as (N, 3, P)."""
+    def _basis_tangents(self, fw):
+        """dX/dtheta of a forward pass as skin_basis @ A: returns A, (4B + 1, 3, P)."""
         B = self.num_bones
-        n = len(fw["X"])
         dR = rot.rotation_matrix_derivatives(
             np.vstack([fw["rv"], fw["angles"]]),
             np.concatenate([fw["R0"][None], fw["R_local"]]),
         )
-        dX = np.empty((n, 3, self.num_params))
-        # X = R0 blended + t0, so dX/drv_c = dR0/drv_c blended
-        dX[:, :, :3] = (fw["blended"] @ dR[0].transpose(2, 1, 0).reshape(3, 9)).reshape(n, 3, 3)
-        dX[:, :, 3:6] = np.eye(3)
+        A = np.zeros((4 * B + 1, 3, self.num_params))
+        # blended = skin_basis[:, :4B] @ stacked, and X = R0 blended + t0, so
+        # dX/drv_c = dR0/drv_c blended and dX/dt0 is the ones column
+        stacked = np.concatenate([fw["R_world"].transpose(0, 2, 1), fw["t_world"][:, None]], axis=1)
+        A[:4 * B, :, :3] = (
+            stacked.reshape(4 * B, 3) @ dR[0].transpose(2, 1, 0).reshape(3, 9)
+        ).reshape(4 * B, 3, 3)
+        A[4 * B, :, 3:6] = np.eye(3)
         if B:
-            M = np.einsum("ij,rjp->rip", fw["R0"], self._fk_tangents(fw, dR[1:]))
-            dX[:, :, 6:] = (self.skin_basis @ M.reshape(4 * B, -1)).reshape(n, 3, 4 * B)
-        return dX
+            A[:4 * B, :, 6:] = np.einsum("ij,rjp->rip", fw["R0"], self._fk_tangents(fw, dR[1:]))
+        return A
+
+    def _deform_jacobian(self, fw):
+        """Forward-mode dX/dtheta of a forward pass, as (N, 3, P)."""
+        A = self._basis_tangents(fw)
+        return (self.skin_basis @ A.reshape(len(A), -1)).reshape(len(fw["X"]), 3, self.num_params)
 
     def _fk_tangents(self, fw, dR_local):
         """Derivatives of every bone's stacked [R_world^T; t_world] by the bone
@@ -596,7 +664,8 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     other. max_iters caps the LM steps. Accepted rounds are non-increasing in
     the true objective, and bone scales respect scale_bounds at every iterate.
     history, when given, collects the objective value after every accepted
-    round.
+    round. The re-matched point is only evaluated at first; H and g are built
+    there only when the round is kept and the solve goes on.
 
     Returns (theta, objective value, terms, iterations, stop_reason), where
     stop_reason is "converged" (an accepted round lowered the objective by a
@@ -639,19 +708,19 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
             if flat:
                 return theta, f_curr, terms, iterations, "converged"
             continue
-        H_n, g_n, terms_n, matches_n = objective.normal_equations(theta_r)
-        if terms_n["total"] > f_curr:
+        f_n, terms_n, matches_n = objective.evaluate(theta_r)
+        if f_n > f_curr:
             rejected += 1
             damping, growth = damping * growth, growth * 2.0
             continue
         rejected, growth = 0, 2.0
-        rel_drop = (f_curr - terms_n["total"]) / max(abs(f_curr), 1e-300)
-        theta, H, g, terms, matches = theta_r, H_n, g_n, terms_n, matches_n
-        f_curr = terms["total"]
+        rel_drop = (f_curr - f_n) / max(abs(f_curr), 1e-300)
+        theta, f_curr, terms, matches = theta_r, f_n, terms_n, matches_n
         if history is not None:
             history.append(f_curr)
         if rel_drop < tol:
             return theta, f_curr, terms, iterations, "converged"
+        H, g, _, _ = objective.normal_equations(theta, matches)
 
 
 def fold_root_bone(skeleton: Skeleton, frame: MotionFrame) -> MotionFrame:
@@ -709,12 +778,18 @@ def surface_samples(mesh: TriMesh):
     )
     tri = V[F]
     points = np.einsum("sb,fbi->fsi", bary, tri).reshape(-1, 3)
+    face_n, sampled = _face_normals(tri)
+    normals = np.repeat(face_n, len(bary), axis=0)
+    keep = np.repeat(sampled, len(bary))
+    return points[keep], normals[keep]
+
+
+def _face_normals(tri):
+    """Unit normals of (F, 3, 3) triangles, and the mask of the faces of
+    nonzero area, the ones surface_samples samples."""
     face_n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(face_n, axis=1)
-    face_n = face_n / np.maximum(norms, 1e-30)[:, None]
-    normals = np.repeat(face_n, len(bary), axis=0)
-    keep = np.repeat(norms > 1e-14, len(bary))
-    return points[keep], normals[keep]
+    return face_n / np.maximum(norms, 1e-30)[:, None], norms > 1e-14
 
 
 def _align_coarse(coarse: FrameObjective, theta0, config):
@@ -753,8 +828,10 @@ def fit_motion(
     supervision_weights optionally supplies per-frame target-side skin
     weights (e.g. when the supervision carries known weights); otherwise,
     when lambda_local > 0, each supervision mesh is heat-skinned against the
-    skeleton posed at the coarse-aligned parameters. Returned frames pass
-    through fold_root_bone.
+    skeleton posed at the coarse-aligned parameters. Every supervision mesh
+    (and its weights) is checked before any frame is solved: a mesh whose
+    faces all have zero area leaves no surface to match and raises
+    ValueError naming the frame. Returned frames pass through fold_root_bone.
     Returns (MotionClip, FitReport).
     """
     config = config or FitConfig()
@@ -766,6 +843,8 @@ def fit_motion(
             raise ValueError(f"supervision mesh {t} is empty")
         if not np.all(np.isfinite(mesh.vertices)):
             raise FitError(f"frame {t}: supervision mesh has non-finite vertices")
+        if len(mesh.faces) and not np.any(_face_normals(mesh.vertices[mesh.faces])[1]):
+            raise ValueError(f"frame {t}: every supervision face has zero area")
     if supervision_weights is not None:
         supervision_weights = list(supervision_weights)
         if len(supervision_weights) != len(supervision):

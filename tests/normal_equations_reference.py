@@ -1,0 +1,44 @@
+"""Reference assembly of the Gauss-Newton normal equations from the full dX.
+
+FrameObjective.normal_equations sums its isotropic Hessian blocks through
+moments of the skin basis. This reference forms the vertex Jacobian dX
+(N, 3, P) explicitly and assembles g = dX^T G and H = dX^T W dX term by
+term: per-vertex 3x3 blocks for the point pairs and the damped
+point-to-plane metric, L^T L for the Laplacian and per-edge rank-1 blocks
+for the rigidity term.
+"""
+
+import numpy as np
+
+
+def explicit_normal_equations(obj, theta, matches):
+    """(H, g) of obj at theta for the frozen matches, from the explicit dX."""
+    cfg = obj.config
+    fw = obj._forward(np.array(theta, dtype=np.float64))
+    X = fw["X"]
+    _, G = obj._loss(X, matches)
+    dX = obj._deform_jacobian(fw)
+    n, P = len(X), obj.num_params
+    D = dX.reshape(3 * n, P)
+    g = D.T @ G.ravel()
+
+    pairs = obj._point_pairs(matches)
+    weight = np.bincount(pairs.vertex, pairs.grad_coef, minlength=n)
+    H = np.zeros((P, P))
+    if cfg.lambda_global > 0 and obj.target_normals is not None \
+            and matches.global_match is not None:
+        c = 2.0 * cfg.lambda_global / n
+        weight = weight + c * obj.plane_damping
+        dn = np.einsum("nip,ni->np", dX, obj.target_normals[matches.global_match.idx_pred])
+        H += c * (dn.T @ dn)
+    H += D.T @ (np.repeat(weight, 3)[:, None] * D)
+    if cfg.lambda_lap > 0:
+        LD = (obj.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
+        H += (2.0 * cfg.lambda_lap / n) * (LD.T @ LD)
+    if cfg.lambda_rigid > 0 and obj.prev_edge_lengths is not None:
+        i, j = obj.edges[:, 0], obj.edges[:, 1]
+        d = X[i] - X[j]
+        u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-30)[:, None]
+        J = sum(u[:, k, None] * (dX[i, k] - dX[j, k]) for k in range(3))
+        H += (2.0 * cfg.lambda_rigid / len(obj.edges)) * (J.T @ J)
+    return H, g

@@ -202,6 +202,21 @@ class TestFitCommand:
         assert code == 2
         assert missing in capsys.readouterr().err
 
+    def test_zero_area_supervision_exits_2_naming_frame(self, assets, tmp_path, capsys):
+        sup = tmp_path / "sup"
+        sup.mkdir()
+        first = os.path.join(assets["supervision"], "frame_0000.obj")
+        (sup / "frame_0000.obj").write_text(open(first).read())
+        (sup / "frame_0001.obj").write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        out = tmp_path / "clip.json"
+        code = main([
+            "fit", "--canonical", assets["mesh"], "--skeleton", assets["skeleton"],
+            "--weights", assets["weights"], "--supervision", str(sup), "--out", str(out),
+        ])
+        assert code == 2
+        assert "frame 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_end_to_end(self, assets, tmp_path):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from animrig import fitting
 from animrig.fitting import (
     FitConfig,
     FitError,
@@ -15,6 +18,7 @@ from animrig.retarget import JointCorrespondence, transfer_motion
 from animrig.skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, posed_joints
 from animrig.skinning import SkinWeights, heat_diffusion_skinning
 from motionutil import clip_rmse, deform_clip, max_interframe_jump, smooth_clip
+from normal_equations_reference import explicit_normal_equations
 from shapes import limb_rig
 
 
@@ -240,6 +244,128 @@ class TestNormalEquations:
             fd[:, i] = (obj.gradient(tp, matches)[0] - obj.gradient(tm, matches)[0]) / (2 * h)
         assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
 
+    @staticmethod
+    def posed_objectives(mesh, skel, w, rng, target_weights=None):
+        """A coarse point-to-plane objective and a fully regularized one."""
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
+        pts, normals = surface_samples(target)
+        coarse_cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+        plane = FrameObjective(mesh, skel, w, target, coarse_cfg, frame_index=1,
+                               target_points=pts, target_normals=normals)
+        if target_weights is None:
+            target_weights = heat_diffusion_skinning(target, skel)
+        full = FrameObjective(
+            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            prev_vertices=helper.deform(random_theta(helper, rng)),
+            target_weights=target_weights, frame_index=1,
+        )
+        return plane, full
+
+    @staticmethod
+    def assert_matches_explicit(obj, theta):
+        H, g, _, matches = obj.normal_equations(theta)
+        H_ref, g_ref = explicit_normal_equations(obj, theta, matches)
+        assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        return H, H_ref
+
+    @pytest.mark.parametrize("kind", ["plane", "full"])
+    def test_moment_assembly_matches_explicit_jacobian(self, rig, rng, kind):
+        mesh, skel, w = rig
+        plane, full = self.posed_objectives(mesh, skel, w, rng)
+        obj = plane if kind == "plane" else full
+        for _ in range(2):
+            self.assert_matches_explicit(obj, random_theta(obj, rng))
+
+    def test_moment_assembly_single_bone(self, rng):
+        mesh, skel = limb_rig(num_bones=1, rings=10, sides=8)
+        w = heat_diffusion_skinning(mesh, skel)
+        assert skel.num_bones == 1
+        for obj in self.posed_objectives(mesh, skel, w, rng):
+            self.assert_matches_explicit(obj, random_theta(obj, rng))
+
+    def test_moment_assembly_with_loose_weight_rows(self, rig, rng):
+        # rows that sum to 1 only within the 1e-6 SkinWeights accepts: the
+        # ones column, not the weights, carries the root translation
+        mesh, skel, w = rig
+        loose = SkinWeights(w.weights * (1.0 + rng.uniform(-9e-7, 9e-7, (len(w.weights), 1))))
+        assert np.abs(loose.weights.sum(axis=1) - 1.0).max() > 5e-7
+        for obj in self.posed_objectives(mesh, skel, loose, rng, target_weights=loose):
+            theta = random_theta(obj, rng)
+            dX = obj._deform_jacobian(obj._forward(theta))
+            assert np.array_equal(dX[:, :, 3:6], np.broadcast_to(np.eye(3), dX[:, :, 3:6].shape))
+            H, H_ref = self.assert_matches_explicit(obj, theta)
+            block = H_ref[3:6, 3:6]
+            assert np.abs(H[3:6, 3:6] - block).max() <= 1e-12 * np.abs(block).max()
+
+
+class TestObjectiveReuse:
+    """value, gradient and normal_equations share forward passes and losses."""
+
+    @staticmethod
+    def frame_objective(rig, kind):
+        mesh, skel, w = rig
+        # seed 11 rejects a second frozen step in both kinds, so the solve
+        # returns to a point two forward passes back
+        gt = smooth_clip(np.random.default_rng(11), skel.num_bones, 2)
+        first, second = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+        if kind == "plane":
+            pts, normals = surface_samples(second)
+            cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+            return FrameObjective(mesh, skel, w, second, cfg, frame_index=1,
+                                  target_points=pts, target_normals=normals)
+        return FrameObjective(mesh, skel, w, second, FitConfig(), prev_vertices=first.vertices,
+                              target_weights=w, frame_index=1)
+
+    @pytest.mark.parametrize("kind", ["plane", "full"])
+    def test_minimize_forwards_each_theta_once(self, rig, kind, monkeypatch):
+        forwards, losses = [], []
+        forward, loss = FrameObjective._forward, FrameObjective._loss
+
+        def counted_forward(self, theta):
+            forwards.append(theta.tobytes())
+            return forward(self, theta)
+
+        def counted_loss(self, X, matches):
+            losses.append((X.tobytes(), matches))  # holds matches, so ids stay unique
+            return loss(self, X, matches)
+
+        monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
+        monkeypatch.setattr(FrameObjective, "_loss", counted_loss)
+        obj = self.frame_objective(rig, kind)
+        _minimize(obj, obj.rest_parameters(), replace(obj.config, max_iters=60))
+        assert len(forwards) > 20
+        assert len(set(forwards)) == len(forwards)
+        keys = [(x, id(m)) for x, m in losses]
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("kind", ["plane", "full"])
+    def test_cache_follows_theta_and_matching(self, rig, rng, kind):
+        obj = self.frame_objective(rig, kind)
+        theta = random_theta(obj, rng, angle_deg=10.0)
+        _, _, own = obj.evaluate(theta)
+        other = obj.match(obj.deform(random_theta(obj, rng, angle_deg=10.0)))
+        obj.normal_equations(theta, own)
+        theta[7] += 0.05  # in place: same array object, new values
+        values = []
+        for matches in (own, other):
+            fresh = self.frame_objective(rig, kind)
+            assert np.array_equal(obj.deform(theta), fresh.deform(theta))
+            value = obj.value(theta, matches)
+            assert value == fresh.value(theta, matches)
+            H, g, terms, _ = obj.normal_equations(theta, matches)
+            H_new, g_new, terms_new, _ = fresh.normal_equations(theta, matches)
+            assert np.array_equal(H, H_new) and np.array_equal(g, g_new)
+            assert terms == terms_new
+            grad, total, _ = obj.gradient(theta, matches)
+            assert np.array_equal(grad, fresh.gradient(theta, matches)[0])
+            values.append(value)
+        assert values[0] != values[1]
+        if kind == "plane":  # _align_coarse changes the damping between stages
+            obj.plane_damping = fresh.plane_damping = 0.03
+            assert obj.value(theta, other) == fresh.value(theta, other) != values[1]
+
 
 class TestFitMotion:
     def test_canonical_supervision_recovers_rest(self, rig):
@@ -370,6 +496,20 @@ class TestFitMotion:
         with pytest.raises(FitError) as err:
             fit_motion(mesh, skel, w, [bad], cfg)
         assert "frame 0" in str(err.value)
+
+    def test_zero_area_supervision_rejected_before_solving(self, rig, monkeypatch):
+        mesh, skel, w = rig
+        flat = TriMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]),
+                       np.array([[0, 1, 2], [1, 2, 3]]))
+        assert len(surface_samples(flat)[0]) == 0
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a frame was solved before the inputs were checked")
+
+        monkeypatch.setattr(fitting, "_minimize", solve)
+        with pytest.raises(ValueError) as err:
+            fit_motion(mesh, skel, w, [mesh, flat], FitConfig())
+        assert "frame 1" in str(err.value)
 
     def test_supervision_weights_checked_before_solving(self, rig):
         mesh, skel, w = rig
