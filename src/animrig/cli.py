@@ -77,10 +77,10 @@ class PipelineConfig:
     retarget_correspondence: str | None = None
     retarget_embed_resolution: int | None = None
     retarget_scale_root: bool = True
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, data):
+        """Keys it does not read, such as the deleted "seed", are ignored."""
         retarget = data.get("retarget", {})
         return cls(
             canonical_mesh=data["canonical_mesh"],
@@ -95,7 +95,6 @@ class PipelineConfig:
             retarget_correspondence=retarget.get("correspondence"),
             retarget_embed_resolution=retarget.get("embed_resolution"),
             retarget_scale_root=bool(retarget.get("scale_root_translation", True)),
-            seed=int(data.get("seed", 0)),
         )
 
     @classmethod
@@ -205,8 +204,8 @@ def run_pipeline(config: PipelineConfig) -> int:
     """skin -> fit -> (retarget) -> summary; partial outputs are quarantined.
 
     Outputs land in config.out_dir: weights.json, clip.json, fit_report.json,
-    frames/, retarget/ (optional), and summary.json. Identical config and seed
-    reproduce byte-identical outputs except the "timing" section.
+    frames/, retarget/ (optional), and summary.json. An identical config
+    reproduces byte-identical outputs except the "timing" section.
     """
     diagnostics = validate_assets(config)
     if diagnostics:
@@ -265,7 +264,6 @@ def run_pipeline(config: PipelineConfig) -> int:
 
         summary = {
             "stages": ["skin", "fit"],
-            "seed": config.seed,
             "frame_count": len(clip.frames),
             "final_losses": {
                 "glc_max": report_data["totals"]["final_glc_max"],

@@ -31,13 +31,13 @@ from scipy.spatial import cKDTree
 
 from . import chamfer as ch
 from . import rotations as rot
-from .deform import blend_skin_arrays, symmetry_loss
+from .deform import blend_skin_arrays
 from .geometry import TriMesh
-from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays
+from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays, posed_joints
 from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 
 
-_LAMBDAS = ("lambda_global", "lambda_local", "lambda_symm", "lambda_lap", "lambda_rigid")
+_LAMBDAS = ("lambda_global", "lambda_local", "lambda_lap", "lambda_rigid")
 _NUMERIC_FIELDS = _LAMBDAS + ("max_iters", "convergence_tol")
 
 
@@ -54,17 +54,16 @@ class FitConfig:
     alignment before that solve adds about max_iters // 2 more. A frame stops
     early once an accepted round lowers the objective by a relative amount
     below convergence_tol, or once no step lowers it (see _minimize);
-    scale_bounds box-constrains bone scales at every iterate.
-    lambda_symm only adds the constant lambda_symm * symmetry_loss(canonical)
-    to frame 0's objective: it has no gradient and moves no parameter, but it
-    enters frame 0's relative-drop convergence test. Every field must be a
-    finite number and max_iters an integer. from_dict ignores keys it does
-    not know.
+    scale_bounds box-constrains bone scales at every iterate. The loss is
+    pose-only: lambda_global and lambda_local weight the global-local
+    chamfer, lambda_lap the Laplacian smoothness of the deformed mesh and
+    lambda_rigid the change of edge lengths from the previous frame. Every
+    field must be a finite number and max_iters an integer. from_dict ignores
+    keys it does not know, such as those of deleted fields.
     """
 
     lambda_global: float = 1.0
     lambda_local: float = 1.0
-    lambda_symm: float = 0.1
     lambda_lap: float = 0.1
     lambda_rigid: float = 0.1
     max_iters: int = 300
@@ -89,17 +88,9 @@ class FitConfig:
             raise ValueError("scale_bounds must satisfy 0 < min <= 1 <= max")
 
     def to_dict(self):
-        return {
-            "lambda_global": self.lambda_global,
-            "lambda_local": self.lambda_local,
-            "lambda_symm": self.lambda_symm,
-            "lambda_lap": self.lambda_lap,
-            "lambda_rigid": self.lambda_rigid,
-            "max_iters": self.max_iters,
-            "convergence_tol": self.convergence_tol,
-            "scale_min": self.scale_bounds[0],
-            "scale_max": self.scale_bounds[1],
-        }
+        out = {name: getattr(self, name) for name in _NUMERIC_FIELDS}
+        out["scale_min"], out["scale_max"] = self.scale_bounds
+        return out
 
     @classmethod
     def from_dict(cls, data):
@@ -225,11 +216,6 @@ class FrameObjective:
         else:
             self.prev_edge_lengths = None
 
-        if frame_index == 0 and config.lambda_symm > 0:
-            self.symm_constant = symmetry_loss(canonical)
-        else:
-            self.symm_constant = 0.0
-
         # weight x homogeneous canonical vertex, then a ones column, (N, 4B + 1):
         # the skinning blend is the first 4B columns times the stacked
         # [R_world^T; t_world] of the bones; the ones column carries the root
@@ -285,11 +271,10 @@ class FrameObjective:
             self.canonical.vertices, self.weights.weights, R_world, t_world
         )
         R0 = rot.rotation_matrix(rv)
-        X = blended @ R0.T + t0
         return {
-            "rv": rv, "t0": t0, "angles": angles, "scales": scales,
+            "rv": rv, "angles": angles, "scales": scales,
             "R_local": R_local, "R_world": R_world, "t_world": t_world, "t_local": t_local,
-            "blended": blended, "R0": R0, "X": X,
+            "R0": R0, "X": blended @ R0.T + t0,
         }
 
     def _pass(self, theta):
@@ -393,7 +378,7 @@ class FrameObjective:
     def _loss(self, X, matches):
         """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
         cfg = self.config
-        terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0, "symm": self.symm_constant}
+        terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0}
         G = np.zeros_like(X)
         n_pred = len(X)
         pairs = self._point_pairs(matches)
@@ -437,25 +422,39 @@ class FrameObjective:
             terms["glc"]
             + cfg.lambda_lap * terms["lap"]
             + cfg.lambda_rigid * terms["rigid"]
-            + cfg.lambda_symm * terms["symm"]
         )
         if not np.isfinite(terms["total"]):
             bad = [k for k, v in terms.items() if not np.isfinite(v)]
             raise FitError(f"frame {self.frame_index}: non-finite loss in {bad}")
         return terms, G
 
-    def evaluate(self, theta, matches=None):
-        """Objective at theta. Fresh correspondences unless matches is given."""
+    def _at(self, theta, matches):
+        """Forward pass, matching (fresh at theta when matches is None), loss
+        terms and dLoss/dX at theta."""
         fw = self._pass(theta)
         if matches is None:
             matches = self.match(fw["X"])
-        terms, _ = self._loss_at(fw, matches)
+        terms, G = self._loss_at(fw, matches)
+        return fw, matches, terms, G
+
+    def evaluate(self, theta, matches=None):
+        """Objective at theta. Fresh correspondences unless matches is given."""
+        _, matches, terms, _ = self._at(theta, matches)
         return terms["total"], terms, matches
 
     def value(self, theta, matches=None):
         return self.evaluate(theta, matches)[0]
 
-    # --- gradient ----------------------------------------------------------------
+    # --- gradient and Gauss-Newton normal equations ------------------------------
+
+    def _first_order(self, theta, matches):
+        """_at plus the tangents A of _basis_tangents and the exact gradient
+        g = A^T vec(S1^T G), G = dLoss/dX: the one derivative path of gradient
+        and normal_equations."""
+        fw, matches, terms, G = self._at(theta, matches)
+        A = self._basis_tangents(fw)
+        g = A.reshape(-1, self.num_params).T @ (self.skin_basis.T @ G).ravel()
+        return fw, matches, terms, A, g
 
     def gradient(self, theta, matches=None):
         """Exact gradient of the objective; correspondences frozen within the call.
@@ -463,55 +462,8 @@ class FrameObjective:
         Returns (gradient, total, matches). When matches is None a fresh
         matching at theta is built first.
         """
-        fw = self._pass(theta)
-        if matches is None:
-            matches = self.match(fw["X"])
-        terms, G = self._loss_at(fw, matches)
-
-        skel = self.skeleton
-        B = self.num_bones
-        grad = np.zeros(self.num_params)
-        grad[3:6] = G.sum(axis=0)
-        # dL/dR of the root rotation, then of each bone's local rotation
-        G_R = np.zeros((B + 1, 3, 3))
-        G_R[0] = np.einsum("ni,nj->ij", G, fw["blended"])
-
-        if B:
-            Gp = G @ fw["R0"]  # rows become R0^T g_n
-            G_Rw = np.einsum("nb,ni,nj->bij", self.weights.weights, Gp, self.canonical.vertices)
-            g_tw = self.weights.weights.T @ Gp
-
-            parent_pos = skel.joints[skel.bone_parent_joints]
-            stretch = (
-                (fw["scales"] - 1.0)[:, None]
-                * skel.rest_lengths[:, None]
-                * skel.bone_directions
-            )
-            G_Rl = G_R[1:]
-            g_scales = np.zeros(B)
-            for b in skel.bone_order[::-1]:
-                p = int(skel.bone_parent_bones[b])
-                if p >= 0:
-                    G_Rw[p] += G_Rw[b] @ fw["R_local"][b].T + np.outer(g_tw[b], fw["t_local"][b])
-                    g_tw[p] += g_tw[b]
-                    Rp_T = fw["R_world"][p].T
-                else:
-                    Rp_T = np.eye(3)
-                G_Rl[b] = Rp_T @ G_Rw[b]
-                g_tl = Rp_T @ g_tw[b]
-                G_Rl[b] += np.outer(g_tl, stretch[b] - parent_pos[b])
-                g_delta = fw["R_local"][b].T @ g_tl
-                g_scales[b] = skel.rest_lengths[b] * float(skel.bone_directions[b] @ g_delta)
-            grad[6 + 3 * B:] = g_scales
-        g_rv = rot.rotation_vector_gradient(
-            G_R, np.vstack([fw["rv"], fw["angles"]]),
-            np.concatenate([fw["R0"][None], fw["R_local"]]),
-        )
-        grad[:3] = g_rv[0]
-        grad[6:6 + 3 * B] = g_rv[1:].ravel()
-        return grad, terms["total"], matches
-
-    # --- Gauss-Newton normal equations --------------------------------------------
+        _, matches, terms, _, g = self._first_order(theta, matches)
+        return g, terms["total"], matches
 
     def normal_equations(self, theta, matches=None):
         """Gauss-Newton normal equations of the frozen-match objective at theta.
@@ -529,15 +481,10 @@ class FrameObjective:
         is built first.
         """
         cfg = self.config
-        fw = self._pass(theta)
+        fw, matches, terms, A, g = self._first_order(theta, matches)
         X = fw["X"]
-        if matches is None:
-            matches = self.match(X)
-        terms, G = self._loss_at(fw, matches)
-        A = self._basis_tangents(fw)
         n, P, r = len(X), self.num_params, len(A)
         A_rows = A.reshape(3 * r, P)
-        g = A_rows.T @ (self.skin_basis.T @ G).ravel()
 
         K = self._point_pairs(matches).moments
         plane = cfg.lambda_global > 0 and self.target_normals is not None \
@@ -752,8 +699,6 @@ def fold_root_bone(skeleton: Skeleton, frame: MotionFrame) -> MotionFrame:
 
 def _posed_copy(skeleton: Skeleton, frame: MotionFrame) -> Skeleton:
     """Skeleton with joints moved to their posed world positions."""
-    from .skeleton import posed_joints
-
     return Skeleton(posed_joints(skeleton, frame), skeleton.parents, skeleton.names)
 
 
@@ -856,9 +801,7 @@ def fit_motion(
                     f"the frame needs {mesh.num_vertices}x{skeleton.num_bones}"
                 )
 
-    coarse_config = replace(
-        config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0, lambda_symm=0.0
-    )
+    coarse_config = replace(config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0)
     report = FitReport()
     frames = []
     prev_vertices = None

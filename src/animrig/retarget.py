@@ -244,21 +244,20 @@ def _segment_exit_fraction(field: InteriorField, a, b):
     return outside / n
 
 
-def embed_skeleton(
-    target: TriMesh,
-    reference: Skeleton,
-    field: InteriorField,
-    alpha: float = 1.0,
-    beta: float = 0.5,
-    gamma: float = 10.0,
-    anchor: float = 0.05,
-) -> Skeleton:
+_EMBED_LENGTH_WEIGHT = 1.0
+_EMBED_SURFACE_WEIGHT = 0.5
+_EMBED_EXIT_WEIGHT = 10.0
+_EMBED_ANCHOR_WEIGHT = 0.05
+
+
+def embed_skeleton(target: TriMesh, reference: Skeleton, field: InteriorField) -> Skeleton:
     """Place a reference-topology skeleton inside a target mesh's interior.
 
     Joints are chosen root-to-leaf from interior-voxel candidates, minimizing
-    alpha * squared relative deviation of the bone length from the reference
-    proportion, beta * nearness-to-surface penalty, gamma * fraction of the
-    bone segment leaving the interior, plus a small anchor toward the
+    _EMBED_LENGTH_WEIGHT * squared relative deviation of the bone length from
+    the reference proportion, _EMBED_SURFACE_WEIGHT * nearness-to-surface
+    penalty, _EMBED_EXIT_WEIGHT * fraction of the bone segment leaving the
+    interior, plus a small _EMBED_ANCHOR_WEIGHT pull toward the
     similarity-mapped reference position (the anchor orders the best-first
     candidate sweep and breaks symmetry ties). The mapped scale comes from the
     interior extent minus a local-thickness margin, so an identical mesh
@@ -321,17 +320,15 @@ def embed_skeleton(
                 radius *= 2.0
                 continue
             cand = centers[near]
-            cost = beta * surface_pen[near]
+            cost = _EMBED_SURFACE_WEIGHT * surface_pen[near]
             norm_len = max(expected_len or 0.0, field.voxel_size)
-            cost = cost + anchor * (np.linalg.norm(cand - prior, axis=1) / norm_len) ** 2
+            offset = np.linalg.norm(cand - prior, axis=1) / norm_len
+            cost = cost + _EMBED_ANCHOR_WEIGHT * offset ** 2
             if parent != -1:
                 lengths = np.linalg.norm(cand - parent_pos, axis=1)
-                cost = cost + alpha * ((lengths - expected_len) / norm_len) ** 2
-                if gamma > 0:
-                    exit_frac = np.array(
-                        [_segment_exit_fraction(field, parent_pos, c) for c in cand]
-                    )
-                    cost = cost + gamma * exit_frac
+                cost = cost + _EMBED_LENGTH_WEIGHT * ((lengths - expected_len) / norm_len) ** 2
+                exit_frac = np.array([_segment_exit_fraction(field, parent_pos, c) for c in cand])
+                cost = cost + _EMBED_EXIT_WEIGHT * exit_frac
             best = int(np.argmin(cost))
             chosen = cand[best]
         placed[joint] = chosen

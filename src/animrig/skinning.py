@@ -148,12 +148,16 @@ def gaussian_skinning(mesh, bones: EllipsoidBones) -> SkinWeights:
     return SkinWeights(raw / sums[:, None])
 
 
-def ellipsoids_from_skeleton(skeleton: Skeleton, length_fraction=0.5, width_fraction=0.25):
+_LENGTH_FRACTION = 0.5
+_WIDTH_FRACTION = 0.25
+
+
+def ellipsoids_from_skeleton(skeleton: Skeleton):
     """Derive Gaussian bones from skeleton geometry.
 
     Centers sit at bone midpoints; the major axis follows the bone with
-    standard deviation length_fraction * rest_length, transverse deviations
-    width_fraction * rest_length. Zero-length bones become small isotropic
+    standard deviation _LENGTH_FRACTION * rest_length, transverse deviations
+    _WIDTH_FRACTION * rest_length. Zero-length bones become small isotropic
     blobs sized from the skeleton height.
     """
     B = skeleton.num_bones
@@ -177,17 +181,20 @@ def ellipsoids_from_skeleton(skeleton: Skeleton, length_fraction=0.5, width_frac
         n1 /= np.linalg.norm(n1)
         n2 = np.cross(axis, n1)
         orientations[k] = np.stack([axis, n1, n2])
-        sigma_axis = length_fraction * length
-        sigma_side = width_fraction * length
+        sigma_axis = _LENGTH_FRACTION * length
+        sigma_side = _WIDTH_FRACTION * length
         scales[k] = [1.0 / sigma_axis**2, 1.0 / sigma_side**2, 1.0 / sigma_side**2]
     return EllipsoidBones(centers, orientations, scales)
 
 
-def cotangent_laplacian(mesh: TriMesh, clamp=1e-8):
+_COT_WEIGHT_FLOOR = 1e-8
+
+
+def cotangent_laplacian(mesh: TriMesh):
     """Sparse cotangent-weighted graph Laplacian L = D - W.
 
-    Per-edge weights are clamped to >= clamp so obtuse triangulations keep the
-    operator positive semidefinite.
+    Per-edge weights are clamped to >= _COT_WEIGHT_FLOOR so obtuse
+    triangulations keep the operator positive semidefinite.
     """
     V, F = mesh.vertices, mesh.faces
     n = mesh.num_vertices
@@ -211,7 +218,7 @@ def cotangent_laplacian(mesh: TriMesh, clamp=1e-8):
     vals = np.concatenate(vals)
     W = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     W = W + W.T  # symmetrize; coo->csr summed duplicate corners already
-    W.data = np.maximum(W.data, clamp)
+    W.data = np.maximum(W.data, _COT_WEIGHT_FLOOR)
     deg = np.asarray(W.sum(axis=1)).ravel()
     return sp.diags(deg) - W
 
@@ -489,13 +496,14 @@ def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True
     return tied / tied.sum(axis=1, keepdims=True), picked
 
 
-def heat_diffusion_skinning(
-    mesh: TriMesh, skeleton: Skeleton, heat_coefficient=1.0, use_visibility=True
-) -> SkinWeights:
+_HEAT_COEFFICIENT = 1.0
+
+
+def heat_diffusion_skinning(mesh: TriMesh, skeleton: Skeleton) -> SkinWeights:
     """Bone-heat skinning: per bone solve (L + H) w_b = H p_b on the mesh.
 
     L is the clamped cotangent Laplacian. H is diagonal with
-    heat_coefficient / d(i)^2 where d(i) is vertex i's distance to its
+    _HEAT_COEFFICIENT / d(i)^2 where d(i) is vertex i's distance to its
     nearest visible bone segment, and p_b is the indicator of that nearest
     bone being b (ties split evenly). Assembled rows are clamped to >= 0 and
     normalized to sum 1.
@@ -514,9 +522,9 @@ def heat_diffusion_skinning(
     # that keeps each result splits that region again on every call: keeping
     # 24 results of the 2,146- and 5,138-vertex limbs then peaks 5 MB higher.
     cols = np.zeros((n, B))
-    anchors, dist = nearest_visible_bones(mesh, skeleton, use_visibility)
+    anchors, dist = nearest_visible_bones(mesh, skeleton)
     floor = max(1e-8 * bbox_diagonal(mesh), 1e-12)
-    heat = heat_coefficient / np.maximum(dist, floor) ** 2
+    heat = _HEAT_COEFFICIENT / np.maximum(dist, floor) ** 2
 
     A = (cotangent_laplacian(mesh) + sp.diags(heat)).tocsc()
     try:

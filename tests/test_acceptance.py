@@ -83,7 +83,7 @@ def test_criterion_2_gradient_correctness(small_limb):
     mesh, skel, w = small_limb
     rng = np.random.default_rng(2002)
     cfg = FitConfig(
-        lambda_global=1.0, lambda_local=1.0, lambda_symm=0.2,
+        lambda_global=1.0, lambda_local=1.0,
         lambda_lap=0.4, lambda_rigid=0.6,
     )
     helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
@@ -173,7 +173,7 @@ def test_criterion_4_synthetic_motion_recovery(full_limb):
     assert max(np.abs(f.bone_scales - 1).max() for f in gt.frames) <= 0.1
 
     cfg = FitConfig(
-        lambda_local=1.0, lambda_symm=0.0, lambda_lap=0.0, lambda_rigid=0.0,
+        lambda_local=1.0, lambda_lap=0.0, lambda_rigid=0.0,
         max_iters=800, convergence_tol=1e-10,
     )
     start = time.perf_counter()
@@ -238,7 +238,7 @@ def test_criterion_6_temporal_consistency(small_limb):
         jumps = {}
         for lam in (0.0, 1.0):
             cfg = FitConfig(
-                lambda_local=0.0, lambda_symm=0, lambda_lap=0, lambda_rigid=lam,
+                lambda_local=0.0, lambda_lap=0, lambda_rigid=lam,
                 max_iters=80,
             )
             clip, _ = fit_motion(mesh, skel, w, noisy, cfg)
@@ -332,7 +332,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                 "out_dir": str(out_dir),
                 "seed": 11,
                 "fit": {
-                    "lambda_local": 1.0, "lambda_symm": 0.0, "lambda_lap": 0.0,
+                    "lambda_local": 1.0, "lambda_lap": 0.0,
                     "lambda_rigid": 0.1, "max_iters": 60,
                 },
             }

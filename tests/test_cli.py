@@ -56,7 +56,7 @@ def pipeline_config_dict(assets, out_dir, seed=0):
         "skinning": {"method": "heat"},
         "seed": seed,
         "fit": {
-            "lambda_local": 1.0, "lambda_symm": 0.0, "lambda_lap": 0.0,
+            "lambda_local": 1.0, "lambda_lap": 0.0,
             "lambda_rigid": 0.0, "max_iters": 400, "convergence_tol": 1e-9,
         },
     }
@@ -233,6 +233,7 @@ class TestPipeline:
         summary = json.loads((out_dir / "summary.json").read_text())
         diag = bbox_diagonal(load_mesh(assets["mesh"]))
         assert summary["final_losses"]["glc_max"] < 0.02 * diag**2
+        assert "seed" not in summary
         assert len(os.listdir(out_dir / "frames")) == 3
 
     def test_reports_why_each_frame_stopped(self, assets, tmp_path):

@@ -68,6 +68,7 @@ class TestFitConfig:
         cfg = FitConfig.from_dict({
             "max_iters": 77, "lambda_rigid": 0.3, "restarts": 2, "init_jitter": 0.05,
             "seed": 4, "target_weight_mode": "heat", "warm_start": True, "step_size": 0.05,
+            "lambda_symm": 0.3,
         })
         assert cfg.max_iters == 77
         assert cfg.lambda_rigid == 0.3
@@ -83,7 +84,7 @@ class TestObjectiveGradient:
     def test_matches_finite_differences(self, rig, rng):
         mesh, skel, w = rig
         cfg = FitConfig(
-            lambda_global=1.0, lambda_local=1.0, lambda_symm=0.3,
+            lambda_global=1.0, lambda_local=1.0,
             lambda_lap=0.5, lambda_rigid=0.7,
         )
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
@@ -111,7 +112,7 @@ class TestObjectiveGradient:
 
     def test_stationary_at_perfect_fit(self, rig, rng):
         mesh, skel, w = rig
-        cfg = FitConfig(lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+        cfg = FitConfig(lambda_local=1.0, lambda_lap=0, lambda_rigid=0)
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
         theta_star = random_theta(helper, rng)
         target = mesh.with_vertices(helper.deform(theta_star))
@@ -122,7 +123,7 @@ class TestObjectiveGradient:
     def test_zero_loss_weights_zero_gradient(self, rig, rng):
         mesh, skel, w = rig
         cfg = FitConfig(
-            lambda_global=0.0, lambda_local=0.0, lambda_symm=0.0,
+            lambda_global=0.0, lambda_local=0.0,
             lambda_lap=0.0, lambda_rigid=0.0,
         )
         obj = FrameObjective(mesh, skel, w, mesh, cfg, frame_index=1)
@@ -135,7 +136,7 @@ class TestObjectiveGradient:
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
-        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+        cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
         obj = FrameObjective(
             mesh, skel, w, target, cfg,
             target_points=pts, target_normals=normals, frame_index=1,
@@ -161,7 +162,7 @@ class TestObjectiveGradient:
             target_points=pts, target_normals=normals, frame_index=1,
         )
         regularized = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
         )
@@ -171,7 +172,7 @@ class TestObjectiveGradient:
             _, total, _ = obj.gradient(theta, matches)
             value, terms, _ = obj.evaluate(theta, matches)
             assert total == value
-        assert all(terms[k] > 0 for k in ("global", "local", "lap", "rigid", "symm"))
+        assert all(terms[k] > 0 for k in ("global", "local", "lap", "rigid"))
 
 
 class TestNormalEquations:
@@ -211,7 +212,7 @@ class TestNormalEquations:
             target_points=pts, target_normals=normals, frame_index=1,
         )
         regularized = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
         )
@@ -229,7 +230,7 @@ class TestNormalEquations:
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
         theta = random_theta(helper, rng)
         posed = helper.deform(theta)
-        cfg = FitConfig(lambda_symm=0, lambda_lap=0, lambda_rigid=0.7)
+        cfg = FitConfig(lambda_lap=0, lambda_rigid=0.7)
         obj = FrameObjective(mesh, skel, w, mesh.with_vertices(posed), cfg,
                              prev_vertices=posed, target_weights=w, frame_index=1)
         H, _, terms, matches = obj.normal_equations(theta)
@@ -250,13 +251,13 @@ class TestNormalEquations:
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
-        coarse_cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+        coarse_cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
         plane = FrameObjective(mesh, skel, w, target, coarse_cfg, frame_index=1,
                                target_points=pts, target_normals=normals)
         if target_weights is None:
             target_weights = heat_diffusion_skinning(target, skel)
         full = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_symm=0.3, lambda_lap=0.5, lambda_rigid=0.7),
+            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=target_weights, frame_index=1,
         )
@@ -312,7 +313,7 @@ class TestObjectiveReuse:
         first, second = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         if kind == "plane":
             pts, normals = surface_samples(second)
-            cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0)
+            cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
             return FrameObjective(mesh, skel, w, second, cfg, frame_index=1,
                                   target_points=pts, target_normals=normals)
         return FrameObjective(mesh, skel, w, second, FitConfig(), prev_vertices=first.vertices,
@@ -372,7 +373,7 @@ class TestFitMotion:
         mesh, skel, w = rig
         diag = bbox_diagonal(mesh)
         cfg = FitConfig(
-            lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0,
+            lambda_local=1.0, lambda_lap=0, lambda_rigid=0,
             max_iters=120, convergence_tol=1e-10,
         )
         supervision = [mesh] * 3
@@ -387,7 +388,7 @@ class TestFitMotion:
         mesh, skel, w = rig
         helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
-        cfg = FitConfig(lambda_local=1.0, lambda_symm=0, lambda_lap=0.1, lambda_rigid=0,
+        cfg = FitConfig(lambda_local=1.0, lambda_lap=0.1, lambda_rigid=0,
                         max_iters=150)
         obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w, frame_index=1)
         history = []
@@ -401,7 +402,7 @@ class TestFitMotion:
         gt = smooth_clip(rng, skel.num_bones, 4)
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         cfg = FitConfig(
-            lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0.1,
+            lambda_local=1.0, lambda_lap=0, lambda_rigid=0.1,
             max_iters=60,
         )
         clip1, _ = fit_motion(mesh, skel, w, supervision, cfg, supervision_weights=[w] * 4)
@@ -417,7 +418,7 @@ class TestFitMotion:
         gt = smooth_clip(rng, skel.num_bones, 3, scale_amp=0.1)
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         cfg = FitConfig(
-            lambda_local=0.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0,
+            lambda_local=0.0, lambda_lap=0, lambda_rigid=0,
             max_iters=40, scale_bounds=(0.95, 1.05),
         )
         clip, _ = fit_motion(mesh, skel, w, supervision, cfg)
@@ -433,7 +434,7 @@ class TestFitMotion:
                          root_translation=0.2, root_rotation=0.1)
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
         cfg = FitConfig(
-            lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0,
+            lambda_local=1.0, lambda_lap=0, lambda_rigid=0,
             max_iters=800, convergence_tol=1e-10,
         )
         clip, _ = fit_motion(mesh, skel, w, supervision, cfg,
@@ -457,7 +458,7 @@ class TestFitMotion:
         jumps = {}
         for lam in (0.0, 1.0):
             cfg = FitConfig(
-                lambda_local=0.0, lambda_symm=0, lambda_lap=0, lambda_rigid=lam,
+                lambda_local=0.0, lambda_lap=0, lambda_rigid=lam,
                 max_iters=80,
             )
             clip, _ = fit_motion(mesh, skel, w, noisy, cfg)
@@ -478,7 +479,7 @@ class TestFitMotion:
         mesh, skel, w = rig
         gt = smooth_clip(np.random.default_rng(1), skel.num_bones, 2)
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
-        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0, max_iters=1)
+        cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0, max_iters=1)
         _, report = fit_motion(mesh, skel, w, supervision, cfg)
         data = report.to_dict()
         assert data["frames"][1]["stop_reason"] == "budget"
@@ -492,7 +493,7 @@ class TestFitMotion:
     def test_non_finite_target_aborts_with_frame_info(self, rig):
         mesh, skel, w = rig
         bad = TriMesh(np.full((10, 3), np.nan))
-        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0, max_iters=5)
+        cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0, max_iters=5)
         with pytest.raises(FitError) as err:
             fit_motion(mesh, skel, w, [bad], cfg)
         assert "frame 0" in str(err.value)
@@ -513,7 +514,7 @@ class TestFitMotion:
 
     def test_supervision_weights_checked_before_solving(self, rig):
         mesh, skel, w = rig
-        cfg = FitConfig(lambda_local=0, lambda_symm=0, lambda_lap=0, lambda_rigid=0, max_iters=5)
+        cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0, max_iters=5)
         short = SkinWeights(w.weights[:-1])
         with pytest.raises(ValueError) as err:
             fit_motion(mesh, skel, w, [mesh, mesh], cfg, supervision_weights=[w, short])
@@ -521,17 +522,14 @@ class TestFitMotion:
 
     def test_report_totals(self, rig):
         mesh, skel, w = rig
-        cfg = FitConfig(lambda_local=0, lambda_symm=0.2, lambda_lap=0.1, lambda_rigid=0,
+        cfg = FitConfig(lambda_local=0, lambda_lap=0.1, lambda_rigid=0,
                         max_iters=20)
         clip, report = fit_motion(mesh, skel, w, [mesh, mesh], cfg)
         data = report.to_dict()
         assert data["totals"]["frame_count"] == 2
         for row in data["frames"]:
-            for key in ("global", "local", "lap", "rigid", "symm", "glc", "total"):
+            for key in ("global", "local", "lap", "rigid", "glc", "total"):
                 assert row[key] >= 0.0
-        # symmetry constant only charged on frame 0
-        assert data["frames"][0]["symm"] > 0.0
-        assert data["frames"][1]["symm"] == 0.0
 
 
 class TestRootGauge:
@@ -562,7 +560,7 @@ class TestRootGauge:
         mesh, skel, w = rig
         gt = smooth_clip(np.random.default_rng(4), skel.num_bones, 3)
         supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
-        cfg = FitConfig(lambda_local=1.0, lambda_symm=0, lambda_lap=0, lambda_rigid=0,
+        cfg = FitConfig(lambda_local=1.0, lambda_lap=0, lambda_rigid=0,
                         max_iters=30)
         clip, _ = fit_motion(mesh, skel, w, supervision, cfg, supervision_weights=[w] * 3)
         assert skel.bone_parent_bones.tolist().count(-1) == 1
