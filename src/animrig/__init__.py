@@ -44,7 +44,6 @@ from .skeleton import (
     MotionFrame,
     RigidTransform,
     Skeleton,
-    compose,
     forward_kinematics,
     posed_joints,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "build_interior_field",
     "chamfer_global",
     "chamfer_local",
-    "compose",
     "dynamic_rigidity_loss",
     "embed_skeleton",
     "export_frame_meshes",

@@ -41,13 +41,6 @@ class DeformedMesh:
         return self.base.with_vertices(self.vertices)
 
 
-def transforms_to_arrays(transforms):
-    """Stack RigidTransforms into (B, 3, 3) rotations and (B, 3) translations."""
-    R = np.stack([t.rotation_matrix for t in transforms]) if transforms else np.zeros((0, 3, 3))
-    t = np.stack([t.translation for t in transforms]) if transforms else np.zeros((0, 3))
-    return R, t
-
-
 def blend_skin_arrays(points, weights, rotations, translations):
     """Core weighted-transform blend: used by both the API and the fitter."""
     M = np.einsum("nb,bij->nij", weights, rotations)
@@ -64,18 +57,25 @@ def blend_skin(
 ) -> DeformedMesh:
     """Pose a mesh by blending bone transforms per vertex, then applying the root.
 
-    Each canonical vertex is moved by the weight-blended bone transform matrix
-    and the root transform is applied last.
+    bone_transforms is the (R_world, t_world) pair forward_kinematics returns:
+    rotations (B, 3, 3) and translations (B, 3), one per weight column. Each
+    canonical vertex is moved by the weight-blended bone transform matrix and
+    the root transform is applied last.
     """
     if weights.num_vertices != canonical.num_vertices:
         raise ValueError(
             f"weights have {weights.num_vertices} rows for {canonical.num_vertices} vertices"
         )
-    if weights.num_bones != len(bone_transforms):
+    try:
+        R, t = (np.asarray(a, dtype=np.float64) for a in bone_transforms)
+    except (TypeError, ValueError):
+        raise ValueError("bone_transforms must be a (rotations, translations) array pair") from None
+    B = weights.num_bones
+    if R.shape != (B, 3, 3) or t.shape != (B, 3):
         raise ValueError(
-            f"weights have {weights.num_bones} bones but {len(bone_transforms)} transforms given"
+            f"weights have {B} bones: expected rotations ({B}, 3, 3) and translations ({B}, 3), "
+            f"got {R.shape} and {t.shape}"
         )
-    R, t = transforms_to_arrays(list(bone_transforms))
     blended = blend_skin_arrays(canonical.vertices, weights.weights, R, t)
     return DeformedMesh(canonical, root.apply(blended), frame_index)
 

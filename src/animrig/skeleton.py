@@ -1,4 +1,9 @@
-"""Kinematic-chain skeletons, rigid transforms, and forward kinematics.
+"""Kinematic-chain skeletons, motion frames, and forward kinematics.
+
+A frame is a root RigidTransform plus per-bone rotation vectors and length
+multipliers. Forward kinematics returns the bones' world transforms as arrays,
+rotations (B, 3, 3) and translations (B, 3), and blend skinning takes them as
+they are; the root transform is applied after the blend.
 
 Bones stretch: each frame carries a per-bone length multiplier, applied to the
 bone's translation only, so a stretched bone shifts its whole subtree outward
@@ -21,7 +26,11 @@ class SkeletonError(ValueError):
 
 
 class RigidTransform:
-    """SE(3) element stored as a unit quaternion [w, x, y, z] plus translation."""
+    """A frame's root transform: unit quaternion [w, x, y, z] plus translation.
+
+    Only the root travels in this form (it is what clip.json stores); bone
+    transforms travel as the world arrays forward_kinematics returns.
+    """
 
     __slots__ = ("quaternion", "translation")
 
@@ -51,10 +60,6 @@ class RigidTransform:
     def from_rotation_vector(cls, rotvec, translation=(0.0, 0.0, 0.0)):
         return cls(rot.quat_from_rotation_vector(rotvec), translation)
 
-    @classmethod
-    def from_matrix(cls, matrix, translation):
-        return cls(rot.matrix_to_quat(matrix), translation)
-
     @property
     def rotation_matrix(self):
         return rot.quat_to_matrix(self.quaternion)
@@ -63,35 +68,12 @@ class RigidTransform:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation_matrix.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying `other` first, then self."""
-        q = rot.quat_multiply(self.quaternion, other.quaternion)
-        t = self.apply(other.translation)
-        return RigidTransform(q, t)
-
-    def inverse(self) -> "RigidTransform":
-        q_inv = rot.quat_conjugate(self.quaternion)
-        t_inv = -(rot.quat_to_matrix(q_inv) @ self.translation)
-        return RigidTransform(q_inv, t_inv)
-
     def as_flat(self):
         """[qw, qx, qy, qz, tx, ty, tz] for serialization."""
         return np.concatenate([self.quaternion, self.translation])
 
-    def is_identity(self, tol=0.0):
-        return (
-            abs(abs(self.quaternion[0]) - 1.0) <= tol
-            and np.all(np.abs(self.quaternion[1:]) <= tol)
-            and np.all(np.abs(self.translation) <= tol)
-        )
-
     def __repr__(self):
         return f"RigidTransform(q={self.quaternion.tolist()}, t={self.translation.tolist()})"
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """(a o b)(x) = a(b(x))."""
-    return a.compose(b)
 
 
 def check_parent_tree(parents):
@@ -315,15 +297,15 @@ def fk_arrays(skeleton: Skeleton, angles, bone_scales):
 
 
 def forward_kinematics(skeleton: Skeleton, frame: MotionFrame):
-    """Per-bone world transforms (root transform excluded), root-to-leaf composed.
+    """Per-bone world transforms (root excluded) as arrays (R_world, t_world).
 
-    With zero angles and unit scales every bone transform is the identity, so
-    the posed skeleton coincides with the rest pose.
+    R_world is (B, 3, 3) and t_world (B, 3), exactly as fk_arrays composes them
+    root to leaf; blend_skin takes the pair as it is. With zero angles and unit
+    scales every rotation is the identity and every translation zero, so the
+    posed skeleton coincides with the rest pose.
     """
     _, R_world, t_world, _ = fk_arrays(skeleton, frame.angles, frame.bone_scales)
-    return [
-        RigidTransform.from_matrix(R_world[b], t_world[b]) for b in range(skeleton.num_bones)
-    ]
+    return R_world, t_world
 
 
 def posed_joints(skeleton: Skeleton, frame: MotionFrame):

@@ -128,6 +128,7 @@ def test_criterion_2_gradient_correctness(small_limb):
 def test_criterion_3_fk_lbs_identity(small_limb, rng):
     """Rest pose reproduces the canonical mesh; one-hot skinning is exact."""
     mesh, skel, w = small_limb
+    from animrig.rotations import quat_to_matrix
     from animrig.skeleton import MotionFrame, RigidTransform
 
     rest = MotionFrame.rest(skel)
@@ -140,17 +141,19 @@ def test_criterion_3_fk_lbs_identity(small_limb, rng):
     from animrig.geometry import TriMesh
 
     cloud = TriMesh(pts)
-    bones = []
-    for _ in range(skel.num_bones):
+    R = np.zeros((skel.num_bones, 3, 3))
+    t = np.zeros((skel.num_bones, 3))
+    for b in range(skel.num_bones):
         q = local_rng.normal(size=4)
-        bones.append(RigidTransform(q / np.linalg.norm(q), local_rng.normal(size=3)))
+        R[b] = quat_to_matrix(q / np.linalg.norm(q))
+        t[b] = local_rng.normal(size=3)
     q = local_rng.normal(size=4)
     root = RigidTransform(q / np.linalg.norm(q), local_rng.normal(size=3))
     pick = local_rng.integers(0, skel.num_bones, size=60)
     one_hot = np.zeros((60, skel.num_bones))
     one_hot[np.arange(60), pick] = 1.0
-    skinned = blend_skin(cloud, SkinWeights(one_hot), root, bones)
-    direct = np.stack([root.apply(bones[pick[n]].apply(pts[n])) for n in range(60)])
+    skinned = blend_skin(cloud, SkinWeights(one_hot), root, (R, t))
+    direct = np.stack([root.apply(R[pick[n]] @ pts[n] + t[pick[n]]) for n in range(60)])
     one_hot_err = np.abs(skinned.vertices - direct).max()
     assert one_hot_err < 1e-12
     report(

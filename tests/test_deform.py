@@ -12,6 +12,7 @@ from animrig.deform import (
     symmetry_loss,
 )
 from animrig.geometry import SymmetryPlane, TriMesh, load_mesh
+from animrig import rotations as rot
 from animrig.skeleton import RigidTransform
 from animrig.skinning import SkinWeights
 from shapes import make_cube, make_grid, make_quad
@@ -22,15 +23,26 @@ def random_transform(rng):
     return RigidTransform(q / np.linalg.norm(q), rng.normal(size=3))
 
 
+def random_bones(rng, count):
+    """count random rigid bone transforms as (R (count, 3, 3), t (count, 3)) arrays."""
+    R, t = [], []
+    for _ in range(count):
+        q = rng.normal(size=4)
+        R.append(rot.quat_to_matrix(q / np.linalg.norm(q)))
+        t.append(rng.normal(size=3))
+    return np.stack(R), np.stack(t)
+
+
+def rest_bones(count):
+    return np.tile(np.eye(3), (count, 1, 1)), np.zeros((count, 3))
+
+
 class TestBlendSkin:
     def test_identity_transforms_reproduce_canonical(self, rng):
         mesh = make_cube()
         w = rng.random((8, 3))
         w /= w.sum(axis=1, keepdims=True)
-        out = blend_skin(
-            mesh, SkinWeights(w), RigidTransform.identity(),
-            [RigidTransform.identity()] * 3,
-        )
+        out = blend_skin(mesh, SkinWeights(w), RigidTransform.identity(), rest_bones(3))
         assert np.abs(out.vertices - mesh.vertices).max() < 1e-12
 
     def test_root_translation_only(self, rng):
@@ -38,26 +50,24 @@ class TestBlendSkin:
         w = rng.random((8, 2))
         w /= w.sum(axis=1, keepdims=True)
         t = np.array([1.0, -2.0, 0.5])
-        out = blend_skin(
-            mesh, SkinWeights(w), RigidTransform((1, 0, 0, 0), t),
-            [RigidTransform.identity()] * 2,
-        )
+        out = blend_skin(mesh, SkinWeights(w), RigidTransform((1, 0, 0, 0), t), rest_bones(2))
         assert np.abs(out.vertices - (mesh.vertices + t)).max() < 1e-12
 
     def test_one_hot_matches_direct_application(self, rng):
         mesh = TriMesh(rng.normal(size=(40, 3)))
-        bones = [random_transform(rng) for _ in range(4)]
+        R, t = random_bones(rng, 4)
         root = random_transform(rng)
         assignment = rng.integers(0, 4, size=40)
         w = np.zeros((40, 4))
         w[np.arange(40), assignment] = 1.0
-        out = blend_skin(mesh, SkinWeights(w), root, bones)
+        out = blend_skin(mesh, SkinWeights(w), root, (R, t))
         for n in range(40):
-            direct = root.apply(bones[assignment[n]].apply(mesh.vertices[n]))
+            b = assignment[n]
+            direct = root.apply(R[b] @ mesh.vertices[n] + t[b])
             assert np.abs(out.vertices[n] - direct).max() < 1e-12
 
     def test_linear_in_canonical_positions(self, rng):
-        bones = [random_transform(rng) for _ in range(3)]
+        bones = random_bones(rng, 3)
         root = random_transform(rng)
         w = rng.random((20, 3))
         w /= w.sum(axis=1, keepdims=True)
@@ -72,13 +82,24 @@ class TestBlendSkin:
 
     def test_dimension_mismatch(self, rng):
         mesh = make_cube()
-        w = np.full((8, 2), 0.5)
+        sw = SkinWeights(np.full((8, 2), 0.5))
+        root = RigidTransform.identity()
+        R, t = rest_bones(2)
+        bad_pairs = [
+            rest_bones(3),  # more bones than weight columns
+            (R, np.zeros((3, 3))),
+            (R[0], t[0]),  # one unbatched transform
+            (R[:, :2], t),
+            R,  # one array, not a pair
+            (R, t, t),
+            [RigidTransform.identity()] * 2,  # the old per-bone transform list
+            [RigidTransform.identity()] * 3,
+        ]
+        for bones in bad_pairs:
+            with pytest.raises(ValueError):
+                blend_skin(mesh, sw, root, bones)
         with pytest.raises(ValueError):
-            blend_skin(mesh, SkinWeights(w), RigidTransform.identity(),
-                       [RigidTransform.identity()] * 3)
-        with pytest.raises(ValueError):
-            blend_skin(make_quad(), SkinWeights(w), RigidTransform.identity(),
-                       [RigidTransform.identity()] * 2)
+            blend_skin(make_quad(), sw, root, rest_bones(2))
 
 
 class TestSymmetryLoss:

@@ -12,14 +12,14 @@ from animrig.skeleton import (
     check_parent_tree,
     clip_from_dict,
     clip_to_dict,
-    compose,
+    fk_arrays,
     forward_kinematics,
     posed_joints,
     skeleton_from_dict,
     skeleton_to_dict,
 )
 from animrig.skinning import SkinWeights
-from animrig.deform import blend_skin
+from animrig.deform import blend_skin, blend_skin_arrays
 from animrig.geometry import TriMesh
 from shapes import chain_skeleton
 
@@ -34,24 +34,6 @@ class TestRigidTransform:
         t = RigidTransform.identity()
         pts = np.array([[1.0, 2.0, 3.0]])
         assert np.array_equal(t.apply(pts), pts)
-
-    def test_compose_identity(self, rng):
-        t = random_transform(rng)
-        out = compose(RigidTransform.identity(), t)
-        assert np.allclose(out.quaternion, t.quaternion)
-        assert np.allclose(out.translation, t.translation)
-
-    def test_compose_inverse_is_identity(self, rng):
-        t = random_transform(rng)
-        pts = rng.normal(size=(20, 3))
-        round_trip = compose(t, t.inverse()).apply(pts)
-        assert np.abs(round_trip - pts).max() < 1e-12
-
-    def test_compose_matches_sequential_application(self, rng):
-        a, b = random_transform(rng), random_transform(rng)
-        pts = rng.normal(size=(50, 3))
-        err = np.abs(compose(a, b).apply(pts) - a.apply(b.apply(pts))).max()
-        assert err < 1e-10
 
     def test_non_unit_quaternion_warns_and_normalizes(self):
         with pytest.warns(UserWarning):
@@ -131,9 +113,9 @@ class TestMotionFrame:
 class TestForwardKinematics:
     def test_rest_pose_is_identity_exactly(self):
         skel = chain_skeleton(4, length=0.7)
-        transforms = forward_kinematics(skel, MotionFrame.rest(skel))
-        for t in transforms:
-            assert t.is_identity(0.0)
+        R, t = forward_kinematics(skel, MotionFrame.rest(skel))
+        assert np.array_equal(R, np.tile(np.eye(3), (skel.num_bones, 1, 1)))
+        assert np.array_equal(t, np.zeros((skel.num_bones, 3)))
 
     def test_two_link_quarter_turn(self):
         skel = chain_skeleton(2)
@@ -174,8 +156,7 @@ class TestForwardKinematics:
         a = forward_kinematics(skel, frame)
         b = forward_kinematics(skel, frame)
         for x, y in zip(a, b):
-            assert np.array_equal(x.quaternion, y.quaternion)
-            assert np.array_equal(x.translation, y.translation)
+            assert np.array_equal(x, y)
 
     def test_chain_locality(self, rng):
         skel = chain_skeleton(5)
@@ -189,14 +170,36 @@ class TestForwardKinematics:
         pert = forward_kinematics(
             skel, MotionFrame(RigidTransform.identity(), perturbed_angles, scales)
         )
+        (base_R, base_t), (pert_R, pert_t) = base, pert
         # bones 0 and 1 are untouched ancestors: bitwise equal transforms
         for b in (0, 1):
-            assert np.array_equal(base[b].quaternion, pert[b].quaternion)
-            assert np.array_equal(base[b].translation, pert[b].translation)
+            assert np.array_equal(base_R[b], pert_R[b])
+            assert np.array_equal(base_t[b], pert_t[b])
         for b in (2, 3):
-            assert not np.allclose(base[b].translation, pert[b].translation) or not np.allclose(
-                base[b].quaternion, pert[b].quaternion
+            assert not np.allclose(base_t[b], pert_t[b]) or not np.allclose(
+                base_R[b], pert_R[b]
             )
+
+    def test_single_pose_path_bitwise(self, small_limb):
+        # FK hands fk_arrays' world arrays to the blend untouched: no conversion in between
+        rng = np.random.default_rng(5)
+        chain = chain_skeleton(5)
+        w = rng.random((30, chain.num_bones))
+        w /= w.sum(axis=1, keepdims=True)
+        rigs = [(TriMesh(rng.normal(size=(30, 3))), chain, SkinWeights(w)), small_limb]
+        for mesh, skel, weights in rigs:
+            frame = MotionFrame(
+                random_transform(rng),
+                rng.uniform(-1, 1, size=(skel.num_bones, 3)),
+                rng.uniform(0.9, 1.1, skel.num_bones),
+            )
+            _, R_world, t_world, _ = fk_arrays(skel, frame.angles, frame.bone_scales)
+            R, t = forward_kinematics(skel, frame)
+            assert np.array_equal(R, R_world) and np.array_equal(t, t_world)
+            expected = frame.root.apply(
+                blend_skin_arrays(mesh.vertices, weights.weights, R_world, t_world)
+            )
+            assert np.array_equal(blend_skin(mesh, weights, frame.root, (R, t)).vertices, expected)
 
     def test_scale_monotonicity(self, rng):
         skel = chain_skeleton(4)
