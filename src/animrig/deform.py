@@ -1,8 +1,8 @@
-"""Linear blend skinning and the geometric regularizers.
+"""Linear blend skinning and geometric evaluation metrics.
 
-The regularizers are mean-reduced so their magnitudes do not scale with mesh
+The metrics are mean-reduced so their magnitudes do not scale with mesh
 resolution: mirror-symmetry of a vertex set, uniform-Laplacian smoothness,
-and temporal edge-length preservation between consecutive frames.
+and dynamic rigidity, the rigid-invariant edge-length change between frames.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def laplacian_loss(mesh) -> float:
 def dynamic_rigidity_loss(curr: DeformedMesh, prev: DeformedMesh) -> float:
     """Mean squared change in edge length between two frames of one base mesh.
 
-    Vanishes whenever curr is a rigid motion of prev.
+    An evaluation metric that vanishes whenever curr is a rigid motion of
+    prev; the fit's rigidity term is the edge-vector change (see fitting).
     """
     if curr.base is not prev.base and not (
         curr.base.vertices.shape == prev.base.vertices.shape

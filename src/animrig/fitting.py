@@ -3,13 +3,15 @@
 Each frame's root transform, joint angles, and bone scales are optimized so
 the blend-skinned canonical mesh matches the frame's supervision mesh under
 the global-local chamfer plus regularizers. Frames are solved in temporal
-order. With the nearest-neighbor correspondences frozen, every loss term is
-a sum of squared residuals over the 6 + 4B parameters, so _minimize runs
-Levenberg-Marquardt: FrameObjective.normal_equations forms the Gauss-Newton
-normal equations from a forward-mode dX/dtheta and the loss's Gauss-Newton
-Hessian in X, without building the residual Jacobian, mostly through small
-moments of the fixed skin basis that dX/dtheta is linear in. _minimize works in
-rounds of up to STEPS_PER_MATCH damped steps on frozen matches, then
+order, each first aligned by one coarse point-to-plane solve. With the
+nearest-neighbor correspondences frozen, every loss term is a sum of squared
+residuals over the 6 + 4B parameters, so _minimize runs Levenberg-Marquardt:
+FrameObjective.normal_equations forms the Gauss-Newton normal equations from
+a forward-mode dX/dtheta and the loss's Gauss-Newton Hessian in X, without
+building the residual Jacobian. The point terms and both regularizers (the
+Laplacian and the temporal edge-vector term, each linear in X) enter as small
+moments of the fixed skin basis that dX/dtheta is linear in. _minimize works
+in rounds of up to STEPS_PER_MATCH damped steps on frozen matches, then
 re-matches and keeps the round only if the true objective did not increase.
 Correspondences are therefore re-assigned between rounds, not inside them.
 Each frame reports why its solve stopped: converged, budget or no-descent.
@@ -39,6 +41,10 @@ from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 
 _LAMBDAS = ("lambda_global", "lambda_local", "lambda_lap", "lambda_rigid")
 _NUMERIC_FIELDS = _LAMBDAS + ("max_iters", "convergence_tol")
+# fraction of point-to-point distance blended into the point-to-plane metric;
+# pure plane distance lets frozen-match solves slide far along the tangent
+# planes and oscillate between re-matchings
+PLANE_DAMPING = 0.03
 
 
 class FitError(RuntimeError):
@@ -51,15 +57,16 @@ class FitConfig:
 
     max_iters caps the Levenberg-Marquardt steps of a frame's final solve
     (each step is one damped normal-equation solve, kept or not); the coarse
-    alignment before that solve adds about max_iters // 2 more. A frame stops
+    alignment before that solve adds at most max_iters // 2 more. A frame stops
     early once an accepted round lowers the objective by a relative amount
     below convergence_tol, or once no step lowers it (see _minimize);
     scale_bounds box-constrains bone scales at every iterate. The loss is
     pose-only: lambda_global and lambda_local weight the global-local
     chamfer, lambda_lap the Laplacian smoothness of the deformed mesh and
-    lambda_rigid the change of edge lengths from the previous frame. Every
-    field must be a finite number and max_iters an integer. from_dict ignores
-    keys it does not know, such as those of deleted fields.
+    lambda_rigid the dynamic rigidity: the mean squared change of each edge
+    vector from the previous fitted frame. Every field must be a finite
+    number and max_iters an integer. from_dict ignores keys it does not know,
+    such as those of deleted fields.
     """
 
     lambda_global: float = 1.0
@@ -151,18 +158,22 @@ class FrameObjective:
     Parameters pack as [root rotation vector (3), root translation (3),
     per-bone rotation vectors (3B), bone scales (B)]. The part-level term
     (lambda_local > 0) needs target_weights. With target_normals the global
-    term is the one-sided damped point-to-plane distance from the deformed
-    vertices to target_points; without, it is the two-sided point-to-point
-    chamfer.
+    term is the one-sided point-to-plane distance from the deformed vertices
+    to target_points, damped by PLANE_DAMPING; without, it is the two-sided
+    point-to-point chamfer. With prev_vertices and lambda_rigid > 0 the
+    rigidity term is the mean over edges (i, j) of
+    |(X[i] - X[j]) - (prev[i] - prev[j])|^2: linear in X, zero for a
+    translation of the whole mesh, but not for a rotation of a bone.
 
     The deformed vertices and their Jacobian are linear in the fixed skin
     basis S1 = [weight x homogeneous vertex, 1] (N x (4B + 1)), so the
-    objective keeps the moments S1^T S1 and, with lambda_lap > 0,
-    (L S1)^T (L S1) for normal_equations. It also keeps its last two forward
-    passes (keyed by theta's bytes, each holding its own copy of theta) and
-    its last loss evaluation (keyed by that pass's vertices, the matching
-    object and plane_damping), so value, gradient and normal_equations at
-    one theta and matching share that work.
+    objective keeps the moment S1^T S1 and the weighted sum of the
+    regularizers' constant moments, (L S1)^T (L S1) for the Laplacian and
+    (E S1)^T (E S1) for the edge differences E, for normal_equations. It
+    also keeps its last two forward passes (keyed by theta's bytes, each
+    holding its own copy of theta) and its last loss evaluation (keyed by
+    that pass's vertices and the matching object), so value, gradient and
+    normal_equations at one theta and matching share that work.
     """
 
     def __init__(
@@ -196,10 +207,6 @@ class FrameObjective:
 
         self.target_points = target.vertices if target_points is None else target_points
         self.target_normals = target_normals
-        # fraction of point-to-point distance blended into the point-to-plane
-        # metric; pure plane distance lets frozen-match solves slide far along
-        # the tangent planes and oscillate between re-matchings
-        self.plane_damping = 0.25
         self.target_tree = cKDTree(self.target_points)
         self.pred_parts = part_decompose(weights)
         self.target_weights = target_weights
@@ -207,14 +214,11 @@ class FrameObjective:
 
         self.lap_op = canonical.uniform_laplacian
         self.edges = canonical.edges
-        self.prev_vertices = None if prev_vertices is None else np.asarray(prev_vertices)
-        if self.prev_vertices is not None and config.lambda_rigid > 0 and len(self.edges):
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            self.prev_edge_lengths = np.linalg.norm(
-                self.prev_vertices[i] - self.prev_vertices[j], axis=1
-            )
-        else:
-            self.prev_edge_lengths = None
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        self.prev_edge_vectors = None
+        if prev_vertices is not None and config.lambda_rigid > 0 and len(self.edges):
+            prev = np.asarray(prev_vertices)
+            self.prev_edge_vectors = prev[i] - prev[j]
 
         # weight x homogeneous canonical vertex, then a ones column, (N, 4B + 1):
         # the skinning blend is the first 4B columns times the stacked
@@ -227,13 +231,21 @@ class FrameObjective:
             np.ones((n, 1)),
         ])
         self.basis_moments = self.skin_basis.T @ self.skin_basis
-        lap_basis = self.lap_op @ self.skin_basis if config.lambda_lap > 0 else None
-        self.lap_moments = None if lap_basis is None else lap_basis.T @ lap_basis
+        # the Gauss-Newton blocks of the linear regularizers do not depend on theta
+        self.regularizer_moments = np.zeros_like(self.basis_moments)
+        if config.lambda_lap > 0:
+            lap_basis = self.lap_op @ self.skin_basis
+            self.regularizer_moments += (2.0 * config.lambda_lap / n) * (lap_basis.T @ lap_basis)
+        if self.prev_edge_vectors is not None:
+            edge_basis = self.skin_basis[i] - self.skin_basis[j]
+            self.regularizer_moments += (2.0 * config.lambda_rigid / len(i)) * (
+                edge_basis.T @ edge_basis
+            )
         self._pairs = None  # (matches, _PointPairs) of the last matching seen
         # theta bytes -> forward pass, the last two: a rejected second step
         # sends _minimize back to the pass before it
         self._passes = {}
-        self._last_loss = None  # (X, matches, plane_damping, terms, G) of the last loss
+        self._last_loss = None  # (X, matches, terms, G) of the last loss
 
     # --- parameter packing ---------------------------------------------------
 
@@ -365,15 +377,14 @@ class FrameObjective:
         return pairs
 
     def _loss_at(self, fw, matches):
-        """Loss terms and dLoss/dX of a forward pass, reused while the pass, the
-        matching object and plane_damping stay the same."""
+        """Loss terms and dLoss/dX of a forward pass, reused while the pass and
+        the matching object stay the same."""
         X = fw["X"]
         last = self._last_loss
-        if last is None or last[0] is not X or last[1] is not matches \
-                or last[2] != self.plane_damping:
-            last = (X, matches, self.plane_damping) + self._loss(X, matches)
+        if last is None or last[0] is not X or last[1] is not matches:
+            last = (X, matches) + self._loss(X, matches)
             self._last_loss = last
-        return dict(last[3]), last[4]
+        return dict(last[2]), last[3]
 
     def _loss(self, X, matches):
         """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
@@ -398,22 +409,17 @@ class FrameObjective:
             n = self.target_normals[idx]
             dots = np.einsum("ni,ni->n", a, n)
             d2 = np.einsum("ni,ni->n", a, a)
-            terms["global"] = float(np.mean(dots**2 + self.plane_damping * d2))
-            G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + self.plane_damping * a)
+            terms["global"] = float(np.mean(dots**2 + PLANE_DAMPING * d2))
+            G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + PLANE_DAMPING * a)
         if cfg.lambda_lap > 0:
             residual = self.lap_op @ X
             terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
             G += (2.0 * cfg.lambda_lap / n_pred) * (self.lap_op.T @ residual)
-        if cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None:
+        if self.prev_edge_vectors is not None:
             i, j = self.edges[:, 0], self.edges[:, 1]
-            d = X[i] - X[j]
-            lengths = np.linalg.norm(d, axis=1)
-            dlen = lengths - self.prev_edge_lengths
-            terms["rigid"] = float(np.mean(dlen**2))
-            coeff = (2.0 * cfg.lambda_rigid / len(self.edges)) * (
-                dlen / np.maximum(lengths, 1e-30)
-            )
-            contrib = coeff[:, None] * d
+            r = X[i] - X[j] - self.prev_edge_vectors
+            terms["rigid"] = float(np.mean(np.einsum("ni,ni->n", r, r)))
+            contrib = (2.0 * cfg.lambda_rigid / len(r)) * r
             for k in range(3):
                 G[:, k] += np.bincount(i, contrib[:, k], minlength=n_pred)
                 G[:, k] -= np.bincount(j, contrib[:, k], minlength=n_pred)
@@ -474,40 +480,28 @@ class FrameObjective:
         So with G = dLoss/dX the exact gradient is g = A^T vec(S1^T G), and
         the isotropic blocks of H = dX^T (Gauss-Newton Hessian of the loss in
         X) dX are sum_i A_i^T K A_i for one (4B + 1)-square K: the point
-        pairs' per-vertex weights, the point-to-plane damping and the
-        Laplacian term enter as moments of S1 (see FrameObjective). dX itself
-        is formed only for the point-to-plane normal term and the per-edge
-        rank-1 rigidity term. When matches is None a fresh matching at theta
-        is built first.
+        pairs' per-vertex weights, the point-to-plane damping, the Laplacian
+        and the edge-vector rigidity term enter as moments of S1 (see
+        FrameObjective). dX itself is formed only for the point-to-plane
+        normal term. When matches is None a fresh matching at theta is built
+        first.
         """
         cfg = self.config
         fw, matches, terms, A, g = self._first_order(theta, matches)
-        X = fw["X"]
-        n, P, r = len(X), self.num_params, len(A)
+        n, P, r = len(fw["X"]), self.num_params, len(A)
         A_rows = A.reshape(3 * r, P)
 
-        K = self._point_pairs(matches).moments
+        K = self._point_pairs(matches).moments + self.regularizer_moments
         plane = cfg.lambda_global > 0 and self.target_normals is not None \
             and matches.global_match is not None
         if plane:
             c = 2.0 * cfg.lambda_global / n
-            K = K + (c * self.plane_damping) * self.basis_moments
-        if cfg.lambda_lap > 0:
-            K = K + (2.0 * cfg.lambda_lap / n) * self.lap_moments
+            K += (c * PLANE_DAMPING) * self.basis_moments
         H = A_rows.T @ (K @ A.reshape(r, 3 * P)).reshape(3 * r, P)
-        rigid = cfg.lambda_rigid > 0 and self.prev_edge_lengths is not None
-        if plane or rigid:
-            dX = (self.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
         if plane:
+            dX = (self.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
             dn = np.einsum("nip,ni->np", dX, self.target_normals[matches.global_match.idx_pred])
             H += c * (dn.T @ dn)
-        if rigid:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            d = X[i] - X[j]
-            u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-30)[:, None]
-            # d(edge length)/dtheta, one row per edge
-            J = sum(u[:, k, None] * (dX[i, k] - dX[j, k]) for k in range(3))
-            H += (2.0 * cfg.lambda_rigid / len(self.edges)) * (J.T @ J)
         return H, g, terms, matches
 
     def _basis_tangents(self, fw):
@@ -722,7 +716,7 @@ def surface_samples(mesh: TriMesh):
         ]
     )
     tri = V[F]
-    points = np.einsum("sb,fbi->fsi", bary, tri).reshape(-1, 3)
+    points = (bary @ tri).reshape(-1, 3)
     face_n, sampled = _face_normals(tri)
     normals = np.repeat(face_n, len(bary), axis=0)
     keep = np.repeat(sampled, len(bary))
@@ -735,24 +729,6 @@ def _face_normals(tri):
     face_n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(face_n, axis=1)
     return face_n / np.maximum(norms, 1e-30)[:, None], norms > 1e-14
-
-
-def _align_coarse(coarse: FrameObjective, theta0, config):
-    """Two-stage damped point-to-plane alignment.
-
-    Heavy damping first keeps the frozen-plane solves from sliding away on
-    coarse meshes; a light-damping pass then removes the residual
-    point-to-point aliasing bias.
-    """
-    budget = max(config.max_iters // 2, 1)
-    theta = theta0
-    iterations = 0
-    for damping, share in ((0.25, 0.5), (0.03, 0.5)):
-        coarse.plane_damping = damping
-        stage_cfg = replace(coarse.config, max_iters=max(int(budget * share), 1))
-        theta, _, _, used, _ = _minimize(coarse, theta, stage_cfg)
-        iterations += used
-    return theta, iterations
 
 
 def fit_motion(
@@ -768,8 +744,9 @@ def fit_motion(
     Supervision meshes do not need to share topology with the canonical mesh;
     all data terms are point-set losses. Each frame starts from the previous
     frame's parameters (from their linear extrapolation once two frames are
-    solved), is aligned to the supervision surface by a coarse point-to-plane
-    objective, and is then solved once on the full objective.
+    solved), is aligned to the supervision surface by one coarse solve of a
+    point-to-plane objective with up to max_iters // 2 steps, and is then
+    solved once on the full objective.
     supervision_weights optionally supplies per-frame target-side skin
     weights (e.g. when the supervision carries known weights); otherwise,
     when lambda_local > 0, each supervision mesh is heat-skinned against the
@@ -801,7 +778,8 @@ def fit_motion(
                     f"the frame needs {mesh.num_vertices}x{skeleton.num_bones}"
                 )
 
-    coarse_config = replace(config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0)
+    coarse_config = replace(config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0,
+                            max_iters=max(config.max_iters // 2, 1))
     report = FitReport()
     frames = []
     prev_vertices = None
@@ -823,7 +801,7 @@ def fit_motion(
             theta0 = coarse.rest_parameters()
         # align first so heat target weights can be computed at a pose that
         # already tracks the supervision (including its root motion)
-        theta_aligned, iterations = _align_coarse(coarse, theta0, config)
+        theta_aligned, _, _, iterations, _ = _minimize(coarse, theta0, coarse_config)
 
         if supervision_weights is not None:
             target_w = supervision_weights[t]

@@ -4,11 +4,13 @@ FrameObjective.normal_equations sums its isotropic Hessian blocks through
 moments of the skin basis. This reference forms the vertex Jacobian dX
 (N, 3, P) explicitly and assembles g = dX^T G and H = dX^T W dX term by
 term: per-vertex 3x3 blocks for the point pairs and the damped
-point-to-plane metric, L^T L for the Laplacian and per-edge rank-1 blocks
-for the rigidity term.
+point-to-plane metric, L^T L for the Laplacian and, for the edge-vector
+rigidity term, the sum over edges (i, j) of (dX[i] - dX[j])^T (dX[i] - dX[j]).
 """
 
 import numpy as np
+
+from animrig.fitting import PLANE_DAMPING
 
 
 def explicit_normal_equations(obj, theta, matches):
@@ -28,17 +30,15 @@ def explicit_normal_equations(obj, theta, matches):
     if cfg.lambda_global > 0 and obj.target_normals is not None \
             and matches.global_match is not None:
         c = 2.0 * cfg.lambda_global / n
-        weight = weight + c * obj.plane_damping
+        weight = weight + c * PLANE_DAMPING
         dn = np.einsum("nip,ni->np", dX, obj.target_normals[matches.global_match.idx_pred])
         H += c * (dn.T @ dn)
     H += D.T @ (np.repeat(weight, 3)[:, None] * D)
     if cfg.lambda_lap > 0:
         LD = (obj.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
         H += (2.0 * cfg.lambda_lap / n) * (LD.T @ LD)
-    if cfg.lambda_rigid > 0 and obj.prev_edge_lengths is not None:
+    if cfg.lambda_rigid > 0 and obj.prev_edge_vectors is not None:
         i, j = obj.edges[:, 0], obj.edges[:, 1]
-        d = X[i] - X[j]
-        u = d / np.maximum(np.linalg.norm(d, axis=1), 1e-30)[:, None]
-        J = sum(u[:, k, None] * (dX[i, k] - dX[j, k]) for k in range(3))
-        H += (2.0 * cfg.lambda_rigid / len(obj.edges)) * (J.T @ J)
+        dE = (dX[i] - dX[j]).reshape(3 * len(i), P)
+        H += (2.0 * cfg.lambda_rigid / len(i)) * (dE.T @ dE)
     return H, g
