@@ -110,8 +110,12 @@ def match_parts(
     target_weights: SkinWeights,
     pred_parts: PartDecomposition | None = None,
     target_parts: PartDecomposition | None = None,
+    target_trees=None,
 ):
-    """Per-part nearest-neighbor pairings over parts present in both clouds."""
+    """Per-part nearest-neighbor pairings over parts present in both clouds.
+
+    target_trees optionally maps each present target part to a KD-tree of
+    its points, for callers that match one target many times."""
     pred_points = as_points(pred_points)
     target_points = as_points(target_points)
     if pred_weights.num_vertices != len(pred_points):
@@ -131,7 +135,7 @@ def match_parts(
         ti = target_parts.indices_of(k)
         pk = pred_points[pi]
         tk = target_points[ti]
-        tree_t = cKDTree(tk)
+        tree_t = cKDTree(tk) if target_trees is None else target_trees[k]
         tree_p = cKDTree(pk)
         _, near_t = tree_t.query(pk)
         _, near_p = tree_p.query(tk)

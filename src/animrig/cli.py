@@ -115,8 +115,15 @@ def _supervision_paths(directory):
 
 def validate_assets(config: PipelineConfig):
     """Cross-check every referenced asset; returns a list of diagnostics."""
+    return _check_assets(config)[0]
+
+
+def _check_assets(config: PipelineConfig):
+    """(diagnostics, canonical mesh, retarget target mesh); a mesh is None
+    when it is not configured or did not parse."""
     diagnostics = []
     mesh = None
+    target_mesh = None
     skeleton = None
 
     if not os.path.isfile(config.canonical_mesh):
@@ -165,7 +172,6 @@ def validate_assets(config: PipelineConfig):
                 diagnostics.append(f"weights invalid: {exc}")
 
     if config.retarget_enabled():
-        target_mesh = None
         target_skel = None
         if not os.path.isfile(config.retarget_target_mesh):
             diagnostics.append(f"retarget target mesh not found: {config.retarget_target_mesh}")
@@ -196,8 +202,7 @@ def validate_assets(config: PipelineConfig):
                 )
             except Exception as exc:
                 diagnostics.append(f"correspondence invalid: {exc}")
-        del target_mesh
-    return diagnostics
+    return diagnostics, mesh, target_mesh
 
 
 def run_pipeline(config: PipelineConfig) -> int:
@@ -207,7 +212,7 @@ def run_pipeline(config: PipelineConfig) -> int:
     frames/, retarget/ (optional), and summary.json. An identical config
     reproduces byte-identical outputs except the "timing" section.
     """
-    diagnostics = validate_assets(config)
+    diagnostics, mesh, target_mesh = _check_assets(config)
     if diagnostics:
         for msg in diagnostics:
             print(f"validation: {msg}", file=sys.stderr)
@@ -222,7 +227,6 @@ def run_pipeline(config: PipelineConfig) -> int:
     stage = "load"
     timing = {}
     try:
-        mesh = load_mesh(config.canonical_mesh)
         skeleton = load_skeleton(config.skeleton)
         supervision = [load_mesh(p) for p in _supervision_paths(config.supervision_dir)]
 
@@ -276,7 +280,6 @@ def run_pipeline(config: PipelineConfig) -> int:
         if config.retarget_enabled():
             stage = "retarget"
             started = time.perf_counter()
-            target_mesh = load_mesh(config.retarget_target_mesh)
             if config.retarget_target_skeleton is not None:
                 target_skel = load_skeleton(config.retarget_target_skeleton)
             else:

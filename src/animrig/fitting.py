@@ -211,6 +211,13 @@ class FrameObjective:
         self.pred_parts = part_decompose(weights)
         self.target_weights = target_weights
         self.target_parts = part_decompose(target_weights) if target_weights is not None else None
+        # the target parts are fixed, so their trees serve every re-matching
+        self.target_part_trees = None
+        if config.lambda_local > 0:
+            self.target_part_trees = {
+                k: cKDTree(self.target_points[self.target_parts.indices_of(k)])
+                for k in self.target_parts.present_parts
+            }
 
         self.lap_op = canonical.uniform_laplacian
         self.edges = canonical.edges
@@ -322,7 +329,7 @@ class FrameObjective:
         if cfg.lambda_local > 0:
             parts = ch.match_parts(
                 X, self.target_points, self.weights, self.target_weights,
-                self.pred_parts, self.target_parts,
+                self.pred_parts, self.target_parts, self.target_part_trees,
             )
             if not parts:
                 warnings.warn(
@@ -522,11 +529,6 @@ class FrameObjective:
         if B:
             A[:4 * B, :, 6:] = np.einsum("ij,rjp->rip", fw["R0"], self._fk_tangents(fw, dR[1:]))
         return A
-
-    def _deform_jacobian(self, fw):
-        """Forward-mode dX/dtheta of a forward pass, as (N, 3, P)."""
-        A = self._basis_tangents(fw)
-        return (self.skin_basis @ A.reshape(len(A), -1)).reshape(len(fw["X"]), 3, self.num_params)
 
     def _fk_tangents(self, fw, dR_local):
         """Derivatives of every bone's stacked [R_world^T; t_world] by the bone

@@ -148,8 +148,54 @@ def load_mesh(path) -> TriMesh:
     Unrecognized line types are ignored. Raises MeshFormatError for malformed
     or empty files and UnsupportedTopologyError for non-triangle faces.
     """
-    vertices = []
-    faces = []
+    parsed = _read_tokens(path)
+    if parsed is None:
+        _raise_line_error(path)
+    coords, refs = parsed
+    if not coords:
+        raise MeshFormatError(f"{path}: no vertex data found")
+    faces = np.array([i - 1 for i in refs], dtype=np.int64).reshape(-1, 3)
+    try:
+        return TriMesh(np.array(coords).reshape(-1, 3), faces)
+    except ValueError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from exc
+
+
+def _read_tokens(path):
+    """(vertex coordinates, 1-based face references) of a mesh file, both
+    flat, or None when a line is malformed.
+
+    Lines are streamed and only the tokens kept; they are converted in bulk.
+    """
+    coord_tokens = []
+    ref_tokens = []
+    try:
+        with open(path, "r") as fh:
+            for line in fh:
+                tokens = line.split()
+                if not tokens:
+                    continue
+                tag = tokens[0]
+                if tag == "v":
+                    if len(tokens) < 4:
+                        return None
+                    coord_tokens += tokens[1:4]
+                elif tag == "f":
+                    if len(tokens) != 4:
+                        return None
+                    ref_tokens += tokens[1:]
+        if "/" in "".join(ref_tokens):
+            ref_tokens = [r.split("/")[0] for r in ref_tokens]
+        refs = list(map(int, ref_tokens))
+        coords = list(map(float, coord_tokens))
+    except ValueError:  # a bad number, or text that does not decode
+        return None
+    return None if 0 in refs else (coords, refs)
+
+
+def _raise_line_error(path):
+    """Raise the error of the first malformed line of a mesh file, line by
+    line as the file is read; every file _read_tokens rejects has one."""
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -160,7 +206,7 @@ def load_mesh(path) -> TriMesh:
                 if len(tokens) < 4:
                     raise MeshFormatError(f"{path}:{lineno}: vertex line needs 3 coordinates")
                 try:
-                    vertices.append([float(t) for t in tokens[1:4]])
+                    list(map(float, tokens[1:4]))
                 except ValueError as exc:
                     raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
             elif tag == "f":
@@ -173,24 +219,15 @@ def load_mesh(path) -> TriMesh:
                     idx = [int(r.split("/")[0]) for r in refs]
                 except ValueError as exc:
                     raise MeshFormatError(f"{path}:{lineno}: bad face index: {exc}") from exc
-                if any(i == 0 for i in idx):
+                if 0 in idx:
                     raise MeshFormatError(f"{path}:{lineno}: face indices are 1-based")
-                faces.append([i - 1 for i in idx])
-    if not vertices:
-        raise MeshFormatError(f"{path}: no vertex data found")
-    try:
-        return TriMesh(np.array(vertices), np.array(faces, dtype=np.int64).reshape(-1, 3))
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from exc
 
 
 def save_mesh(mesh: TriMesh, path):
     """Write a mesh as `v`/`f` lines with 9 significant digits."""
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("v %.9g %.9g %.9g\n" * mesh.num_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("f %d %d %d\n" * mesh.num_faces % tuple((mesh.faces + 1).ravel().tolist()))
 
 
 def reflect(mesh: TriMesh, plane: SymmetryPlane) -> TriMesh:

@@ -104,12 +104,18 @@ class InteriorField:
         idx = np.floor((np.asarray(point) - self.origin) / self.voxel_size).astype(int)
         return tuple(np.clip(idx, 0, np.array(self.dims) - 1))
 
-    def contains(self, point):
-        """True when the point falls in an interior voxel."""
-        idx = np.floor((np.asarray(point) - self.origin) / self.voxel_size).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.array(self.dims)):
-            return False
-        return bool(self.interior[tuple(idx)])
+    def contains(self, points):
+        """Whether each point falls in an interior voxel.
+
+        Takes one point (3,) and returns a bool, or an (N, 3) array and
+        returns an (N,) bool array; points outside the grid are not inside.
+        """
+        points = np.asarray(points)
+        idx = np.floor((points.reshape(-1, 3) - self.origin) / self.voxel_size).astype(int)
+        in_grid = np.all((idx >= 0) & (idx < self.dims), axis=1)
+        inside = np.zeros(len(idx), dtype=bool)
+        inside[in_grid] = self.interior[tuple(idx[in_grid].T)]
+        return bool(inside[0]) if points.ndim == 1 else inside
 
     def interior_count(self):
         return int(self.interior.sum())
@@ -234,14 +240,25 @@ def build_interior_field(mesh: TriMesh, resolution: int) -> InteriorField:
     return InteriorField(origin=origin, voxel_size=voxel, interior=interior, distance=distance)
 
 
-def _segment_exit_fraction(field: InteriorField, a, b):
-    """Fraction of sample points on segment a-b lying outside interior voxels."""
-    length = np.linalg.norm(b - a)
-    n = max(int(np.ceil(length / (0.5 * field.voxel_size))), 2)
-    ts = np.linspace(0.0, 1.0, n)
-    pts = a[None, :] * (1 - ts)[:, None] + b[None, :] * ts[:, None]
-    outside = sum(0 if field.contains(p) else 1 for p in pts)
-    return outside / n
+def _segment_exit_fractions(field: InteriorField, a, ends):
+    """Per segment a-b, b a row of ends: the fraction of its sample points
+    lying outside interior voxels.
+
+    A segment gets n = max(ceil(|b - a| / (voxel / 2)), 2) evenly spaced
+    samples, both ends included. Segments with the same n share one
+    linspace and one interior lookup.
+    """
+    counts = np.array([
+        max(int(np.ceil(np.linalg.norm(b - a) / (0.5 * field.voxel_size))), 2) for b in ends
+    ])
+    fractions = np.empty(len(ends))
+    for n in np.unique(counts):
+        group = counts == n
+        ts = np.linspace(0.0, 1.0, n)
+        pts = a * (1 - ts)[:, None] + ends[group][:, None] * ts[:, None]  # (group, n, 3)
+        outside = ~field.contains(pts.reshape(-1, 3)).reshape(-1, n)
+        fractions[group] = outside.sum(axis=1) / n
+    return fractions
 
 
 _EMBED_LENGTH_WEIGHT = 1.0
@@ -327,8 +344,7 @@ def embed_skeleton(target: TriMesh, reference: Skeleton, field: InteriorField) -
             if parent != -1:
                 lengths = np.linalg.norm(cand - parent_pos, axis=1)
                 cost = cost + _EMBED_LENGTH_WEIGHT * ((lengths - expected_len) / norm_len) ** 2
-                exit_frac = np.array([_segment_exit_fraction(field, parent_pos, c) for c in cand])
-                cost = cost + _EMBED_EXIT_WEIGHT * exit_frac
+                cost = cost + _EMBED_EXIT_WEIGHT * _segment_exit_fractions(field, parent_pos, cand)
             best = int(np.argmin(cost))
             chosen = cand[best]
         placed[joint] = chosen

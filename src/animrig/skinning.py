@@ -577,8 +577,9 @@ def weights_from_dict(data) -> SkinWeights:
 
 
 def save_weights(weights: SkinWeights, path):
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(weights_to_dict(weights), fh, sort_keys=True)
+        fh.write(json.dumps(weights_to_dict(weights), sort_keys=True))
 
 
 def load_weights(path) -> SkinWeights:

@@ -13,13 +13,19 @@ import numpy as np
 from animrig.fitting import PLANE_DAMPING
 
 
+def deform_jacobian(obj, fw):
+    """Forward-mode dX/dtheta of a forward pass, as (N, 3, P): skin_basis @ A."""
+    A = obj._basis_tangents(fw)
+    return (obj.skin_basis @ A.reshape(len(A), -1)).reshape(len(fw["X"]), 3, obj.num_params)
+
+
 def explicit_normal_equations(obj, theta, matches):
     """(H, g) of obj at theta for the frozen matches, from the explicit dX."""
     cfg = obj.config
     fw = obj._forward(np.array(theta, dtype=np.float64))
     X = fw["X"]
     _, G = obj._loss(X, matches)
-    dX = obj._deform_jacobian(fw)
+    dX = deform_jacobian(obj, fw)
     n, P = len(X), obj.num_params
     D = dX.reshape(3 * n, P)
     g = D.T @ G.ravel()

@@ -18,7 +18,7 @@ from animrig.retarget import JointCorrespondence, transfer_motion
 from animrig.skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, posed_joints
 from animrig.skinning import SkinWeights, heat_diffusion_skinning
 from motionutil import clip_rmse, deform_clip, max_interframe_jump, smooth_clip
-from normal_equations_reference import explicit_normal_equations
+from normal_equations_reference import deform_jacobian, explicit_normal_equations
 from shapes import limb_rig
 
 
@@ -213,7 +213,7 @@ class TestNormalEquations:
         # angle 5e-5 keeps every bone below the 1e-4 rad series branch
         theta[6:6 + 3 * b] = rng.uniform(-angle, angle, 3 * b) / np.sqrt(3)
         theta[6 + 3 * b:] = rng.uniform(0.9, 1.1, b)
-        dX = obj._deform_jacobian(obj._forward(theta))
+        dX = deform_jacobian(obj, obj._forward(theta))
         assert dX.shape == (mesh.num_vertices, 3, len(theta))
         worst = 0.0
         for i in range(len(theta)):
@@ -318,7 +318,7 @@ class TestNormalEquations:
         assert np.abs(loose.weights.sum(axis=1) - 1.0).max() > 5e-7
         for obj in self.posed_objectives(mesh, skel, loose, rng, target_weights=loose):
             theta = random_theta(obj, rng)
-            dX = obj._deform_jacobian(obj._forward(theta))
+            dX = deform_jacobian(obj, obj._forward(theta))
             assert np.array_equal(dX[:, :, 3:6], np.broadcast_to(np.eye(3), dX[:, :, 3:6].shape))
             H, H_ref = self.assert_matches_explicit(obj, theta)
             block = H_ref[3:6, 3:6]
@@ -328,26 +328,29 @@ class TestNormalEquations:
 class TestObjectiveReuse:
     """value, gradient and normal_equations share forward passes and losses."""
 
-    @staticmethod
-    def frame_objective(rig, kind):
+    # parameters of the posed target, and the bone angles of a pose far from
+    # it at which test_minimize_forwards_each_theta_once freezes the matching
+    TARGET_POSE = np.array([-0.2, -0.2, 0.3, -0.2, 0.0, 0.1,
+                            -0.4, -0.5, -0.3, 0.2, 0.1, -0.4, -0.1, 0.2, -0.1, 1.0, 1.0, 1.0])
+    MATCH_ANGLES = np.array([0.2, 0.6, 0.2, -0.1, -0.4, -0.2, 0.0, 0.5, 0.3])
+
+    @classmethod
+    def frame_objective(cls, rig, kind):
         mesh, skel, w = rig
-        # seed 21 rejects a second frozen step in the full kind, so the solve
-        # returns to a point two forward passes back, and the plane kind
-        # takes more than 20 forward passes
-        gt = smooth_clip(np.random.default_rng(21), skel.num_bones, 2)
-        first, second = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        target = mesh.with_vertices(helper.deform(cls.TARGET_POSE))
         if kind == "plane":
-            pts, normals = surface_samples(second)
+            pts, normals = surface_samples(target)
             cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
-            return FrameObjective(mesh, skel, w, second, cfg, frame_index=1,
+            return FrameObjective(mesh, skel, w, target, cfg, frame_index=1,
                                   target_points=pts, target_normals=normals)
-        return FrameObjective(mesh, skel, w, second, FitConfig(), prev_vertices=first.vertices,
+        return FrameObjective(mesh, skel, w, target, FitConfig(), prev_vertices=mesh.vertices,
                               target_weights=w, frame_index=1)
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_minimize_forwards_each_theta_once(self, rig, kind, monkeypatch):
-        forwards, losses = [], []
-        forward, loss = FrameObjective._forward, FrameObjective._loss
+        forwards, losses, passes = [], [], []
+        forward, loss, cached = FrameObjective._forward, FrameObjective._loss, FrameObjective._pass
 
         def counted_forward(self, theta):
             forwards.append(theta.tobytes())
@@ -357,14 +360,35 @@ class TestObjectiveReuse:
             losses.append((X.tobytes(), matches))  # holds matches, so ids stay unique
             return loss(self, X, matches)
 
+        def counted_pass(self, theta):
+            passes.append(np.asarray(theta, dtype=np.float64).tobytes())
+            return cached(self, theta)
+
+        obj = self.frame_objective(rig, kind)
+        # every re-matching returns (a new object holding) the matching at a
+        # pose far from the target: its frozen optimum lies outside the
+        # bone-scale box, so a round's second step that crosses the box is
+        # rejected and the solve goes back to the pass before it
+        match_pose = obj.rest_parameters()
+        match_pose[6:6 + 3 * obj.num_bones] = self.MATCH_ANGLES
+        frozen = obj.match(obj.deform(match_pose))
+        monkeypatch.setattr(obj, "match", lambda X: replace(frozen))
         monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
         monkeypatch.setattr(FrameObjective, "_loss", counted_loss)
-        obj = self.frame_objective(rig, kind)
+        monkeypatch.setattr(FrameObjective, "_pass", counted_pass)
         _minimize(obj, obj.rest_parameters(), replace(obj.config, max_iters=60))
         assert len(forwards) > 20
         assert len(set(forwards)) == len(forwards)
         keys = [(x, id(m)) for x, m in losses]
         assert len(set(keys)) == len(keys)
+        # the pass two forwards back was asked for again at least once
+        order = list(dict.fromkeys(forwards))
+        position = {key: i for i, key in enumerate(order)}
+        latest, returns = -1, 0
+        for key in passes:
+            returns += position[key] == latest - 1
+            latest = max(latest, position[key])
+        assert returns > 0
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_cache_follows_theta_and_matching(self, rig, rng, kind):
