@@ -18,18 +18,15 @@ from .deform import (
     dynamic_rigidity_loss,
     export_frame_meshes,
     laplacian_loss,
-    symmetry_loss,
 )
 from .fitting import FitConfig, FitReport, FrameObjective, fit_motion
 from .geometry import (
     EmptyInputError,
     MeshFormatError,
-    SymmetryPlane,
     TriMesh,
     UnsupportedTopologyError,
     bbox_diagonal,
     load_mesh,
-    reflect,
     save_mesh,
 )
 from .retarget import (
@@ -75,7 +72,6 @@ __all__ = [
     "RigidTransform",
     "Skeleton",
     "SkinWeights",
-    "SymmetryPlane",
     "TriMesh",
     "UnsupportedTopologyError",
     "bbox_diagonal",
@@ -95,8 +91,6 @@ __all__ = [
     "load_mesh",
     "part_decompose",
     "posed_joints",
-    "reflect",
     "save_mesh",
-    "symmetry_loss",
     "transfer_motion",
 ]

@@ -9,7 +9,7 @@ pair by the product of the two endpoints' skinning confidence for that part.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -73,12 +73,6 @@ class PartMatch:
     target_indices: np.ndarray
     target_to_pred: np.ndarray   # pred indices matched by each target-part point
     target_conf: np.ndarray
-
-
-@dataclass
-class ChamferMatches:
-    global_match: GlobalMatch
-    parts: list = field(default_factory=list)
 
 
 def match_global(pred_points, target_points, target_tree=None, two_sided=True) -> GlobalMatch:

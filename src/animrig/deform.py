@@ -1,8 +1,8 @@
 """Linear blend skinning and geometric evaluation metrics.
 
 The metrics are mean-reduced so their magnitudes do not scale with mesh
-resolution: mirror-symmetry of a vertex set, uniform-Laplacian smoothness,
-and dynamic rigidity, the rigid-invariant edge-length change between frames.
+resolution: uniform-Laplacian smoothness and dynamic rigidity, the
+rigid-invariant edge-length change between frames.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+# perfbench/layertrace.py wraps animrig.deform:cKDTree, so the name stays importable
+from scipy.spatial import cKDTree  # noqa: F401
 
-from .geometry import SymmetryPlane, TriMesh, save_mesh
+from .geometry import TriMesh, save_mesh
 from .skeleton import RigidTransform
 from .skinning import SkinWeights
 
@@ -78,27 +79,6 @@ def blend_skin(
         )
     blended = blend_skin_arrays(canonical.vertices, weights.weights, R, t)
     return DeformedMesh(canonical, root.apply(blended), frame_index)
-
-
-def _vertices_of(mesh):
-    if isinstance(mesh, (TriMesh, DeformedMesh)):
-        return mesh.vertices
-    return np.asarray(mesh, dtype=np.float64)
-
-
-def symmetry_loss(mesh, plane: SymmetryPlane | None = None) -> float:
-    """Mean squared distance from each reflected vertex to its nearest vertex.
-
-    Zero exactly when the vertex set is invariant under the reflection.
-    """
-    points = _vertices_of(mesh)
-    if len(points) == 0:
-        raise ValueError("symmetry_loss needs at least one vertex")
-    if plane is None:
-        plane = SymmetryPlane()
-    mirrored = plane.reflect_points(points)
-    d, _ = cKDTree(points).query(mirrored)
-    return float(np.mean(d**2))
 
 
 def laplacian_loss(mesh) -> float:

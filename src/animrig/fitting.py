@@ -6,8 +6,8 @@ the global-local chamfer plus regularizers. Frames are solved in temporal
 order, each first aligned by one coarse point-to-plane solve. With the
 nearest-neighbor correspondences frozen, every loss term is a sum of squared
 residuals over the 6 + 4B parameters, so _minimize runs Levenberg-Marquardt:
-FrameObjective.normal_equations forms the Gauss-Newton normal equations from
-a forward-mode dX/dtheta and the loss's Gauss-Newton Hessian in X, without
+FrameObjective._gauss_newton forms the Gauss-Newton normal equations from a
+forward-mode dX/dtheta and the loss's Gauss-Newton Hessian in X, without
 building the residual Jacobian. The point terms and both regularizers (the
 Laplacian and the temporal edge-vector term, each linear in X) enter as small
 moments of the fixed skin basis that dX/dtheta is linear in. _minimize works
@@ -15,6 +15,12 @@ in rounds of up to STEPS_PER_MATCH damped steps on frozen matches, then
 re-matches and keeps the round only if the true objective did not increase.
 Correspondences are therefore re-assigned between rounds, not inside them.
 Each frame reports why its solve stopped: converged, budget or no-descent.
+
+FrameObjective holds only a frame's constants (target trees, skin basis and
+its moments) and computes each forward pass, matching, loss and (H, g) afresh
+when asked. _minimize holds the solver state (the current and the round's
+theta, forward pass, matching, loss and dLoss/dX), so it decides what is
+reused and forwards each theta once.
 
 The fitted frames are returned in one gauge: when the root joint has a single
 child bone, that bone's rotation is folded into the root transform (see
@@ -140,9 +146,16 @@ class FitReport:
         return {"frames": self.frames, "totals": totals}
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PointPairs:
-    """Frozen point pairs of the isotropic terms (see FrameObjective._point_pairs)."""
+    """One frozen matching, as the loss and the normal equations read it.
+
+    The global point-to-point and the part terms are sums of
+    coef * |X[vertex] - target|^2; pairs [:n_global] make up the global term,
+    the rest the part term. When the global term is point-to-plane,
+    plane_target and plane_normal hold each deformed vertex's matched sample
+    and its normal; otherwise they are None.
+    """
 
     vertex: np.ndarray     # deformed-vertex index of each pair
     target: np.ndarray     # matched target point of each pair, (M, 3)
@@ -150,6 +163,8 @@ class _PointPairs:
     grad_coef: np.ndarray  # 2 * lambda * coef: the pair's dLoss/dX is grad_coef * difference
     n_global: int
     moments: np.ndarray    # S1^T diag(summed grad_coef per vertex) S1, for the Hessian
+    plane_target: np.ndarray | None
+    plane_normal: np.ndarray | None
 
 
 class FrameObjective:
@@ -169,11 +184,8 @@ class FrameObjective:
     basis S1 = [weight x homogeneous vertex, 1] (N x (4B + 1)), so the
     objective keeps the moment S1^T S1 and the weighted sum of the
     regularizers' constant moments, (L S1)^T (L S1) for the Laplacian and
-    (E S1)^T (E S1) for the edge differences E, for normal_equations. It
-    also keeps its last two forward passes (keyed by theta's bytes, each
-    holding its own copy of theta) and its last loss evaluation (keyed by
-    that pass's vertices and the matching object), so value, gradient and
-    normal_equations at one theta and matching share that work.
+    (E S1)^T (E S1) for the edge differences E, for _gauss_newton. It holds
+    no other state: _minimize keeps the passes, matchings and losses it reuses.
     """
 
     def __init__(
@@ -248,11 +260,6 @@ class FrameObjective:
             self.regularizer_moments += (2.0 * config.lambda_rigid / len(i)) * (
                 edge_basis.T @ edge_basis
             )
-        self._pairs = None  # (matches, _PointPairs) of the last matching seen
-        # theta bytes -> forward pass, the last two: a rejected second step
-        # sends _minimize back to the pass before it
-        self._passes = {}
-        self._last_loss = None  # (X, matches, terms, G) of the last loss
 
     # --- parameter packing ---------------------------------------------------
 
@@ -296,39 +303,34 @@ class FrameObjective:
             "R0": R0, "X": blended @ R0.T + t0,
         }
 
-    def _pass(self, theta):
-        """The forward pass at theta, reused while theta's bytes are unchanged.
-
-        The pass is computed from a private copy of theta, so changing the
-        caller's array in place changes the key, not the cached pass.
-        """
-        theta = np.asarray(theta, dtype=np.float64)
-        key = theta.tobytes()
-        fw = self._passes.get(key)
-        if fw is None:
-            fw = self._forward(theta.copy())
-            self._passes[key] = fw
-            if len(self._passes) > 2:
-                del self._passes[next(iter(self._passes))]
-        return fw
-
     def deform(self, theta):
-        return self._pass(theta)["X"].copy()
+        return self._forward(np.asarray(theta, dtype=np.float64))["X"]
 
     # --- matching and loss values ----------------------------------------------
 
     def match(self, X):
+        """Nearest-neighbor correspondences of the deformed vertices X, frozen
+        as the _PointPairs record that the loss and normal equations read."""
         cfg = self.config
-        # the point-to-plane metric reads only the pred -> target direction
-        gmatch = (
-            ch.match_global(X, self.target_points, self.target_tree,
-                            two_sided=self.target_normals is None)
-            if cfg.lambda_global > 0 else None
-        )
-        parts = []
+        T = self.target_points
+        n_pred = len(X)
+        plane = self.target_normals is not None
+        vertex, target, coef, grad_coef = [], [], [], []
+        plane_target = plane_normal = None
+        if cfg.lambda_global > 0:
+            # the point-to-plane metric reads only the pred -> target direction
+            m = ch.match_global(X, T, self.target_tree, two_sided=not plane)
+            if plane:
+                plane_target, plane_normal = T[m.idx_pred], self.target_normals[m.idx_pred]
+            else:
+                vertex += [np.arange(n_pred), m.idx_target]
+                target += [T[m.idx_pred], T]
+                coef += [np.full(n_pred, 1.0 / n_pred), np.full(len(T), 1.0 / len(T))]
+                grad_coef += [2.0 * cfg.lambda_global * c for c in coef]
+        n_global = sum(len(v) for v in vertex)
         if cfg.lambda_local > 0:
             parts = ch.match_parts(
-                X, self.target_points, self.weights, self.target_weights,
+                X, T, self.weights, self.target_weights,
                 self.pred_parts, self.target_parts, self.target_part_trees,
             )
             if not parts:
@@ -336,31 +338,8 @@ class FrameObjective:
                     f"frame {self.frame_index}: no part present in both clouds; "
                     "part-level chamfer is 0"
                 )
-        return ch.ChamferMatches(global_match=gmatch, parts=parts)
-
-    def _point_pairs(self, matches):
-        """The isotropic point terms of a matching as one flat list of pairs.
-
-        The global point-to-point and the part terms are sums of
-        coef * |X[vertex] - target|^2; pairs [:n_global] make up the global
-        term, the rest the part term. Built once per matching.
-        """
-        if self._pairs is not None and self._pairs[0] is matches:
-            return self._pairs[1]
-        cfg = self.config
-        T = self.target_points
-        n_pred = self.canonical.num_vertices
-        vertex, target, coef, grad_coef = [], [], [], []
-        m = matches.global_match
-        if cfg.lambda_global > 0 and m is not None and self.target_normals is None:
-            vertex += [np.arange(n_pred), m.idx_target]
-            target += [T[m.idx_pred], T]
-            coef += [np.full(n_pred, 1.0 / n_pred), np.full(len(T), 1.0 / len(T))]
-            grad_coef += [2.0 * cfg.lambda_global * c for c in coef]
-        n_global = sum(len(v) for v in vertex)
-        if cfg.lambda_local > 0:
-            for pm in matches.parts:
-                scale = 1.0 / len(matches.parts)
+            for pm in parts:
+                scale = 1.0 / len(parts)
                 vertex += [pm.pred_indices, pm.target_to_pred]
                 target += [T[pm.pred_to_target], T[pm.target_indices]]
                 part = [pm.pred_conf * (scale / len(pm.pred_indices)),
@@ -372,34 +351,23 @@ class FrameObjective:
         S1 = self.skin_basis
         weight = np.bincount(vertex, grad_coef, minlength=n_pred)
         moments = (S1 * weight[:, None]).T @ S1 if len(vertex) else np.zeros((S1.shape[1],) * 2)
-        pairs = _PointPairs(
+        return _PointPairs(
             vertex=vertex,
             target=np.concatenate(target + [np.zeros((0, 3))]),
             coef=np.concatenate(coef + [np.zeros(0)]),
             grad_coef=grad_coef,
             n_global=n_global,
             moments=moments,
+            plane_target=plane_target,
+            plane_normal=plane_normal,
         )
-        self._pairs = (matches, pairs)
-        return pairs
 
-    def _loss_at(self, fw, matches):
-        """Loss terms and dLoss/dX of a forward pass, reused while the pass and
-        the matching object stay the same."""
-        X = fw["X"]
-        last = self._last_loss
-        if last is None or last[0] is not X or last[1] is not matches:
-            last = (X, matches) + self._loss(X, matches)
-            self._last_loss = last
-        return dict(last[2]), last[3]
-
-    def _loss(self, X, matches):
-        """Loss terms and dLoss/dX for frozen matches, each residual formed once."""
+    def _loss(self, X, pairs):
+        """Loss terms and dLoss/dX for a frozen matching, each residual formed once."""
         cfg = self.config
         terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0}
         G = np.zeros_like(X)
         n_pred = len(X)
-        pairs = self._point_pairs(matches)
         if len(pairs.vertex):
             diff = X[pairs.vertex] - pairs.target
             wd2 = pairs.coef * np.einsum("ni,ni->n", diff, diff)
@@ -408,12 +376,10 @@ class FrameObjective:
             scaled = pairs.grad_coef[:, None] * diff
             for k in range(3):
                 G[:, k] = np.bincount(pairs.vertex, scaled[:, k], minlength=n_pred)
-        if cfg.lambda_global > 0 and self.target_normals is not None \
-                and matches.global_match is not None:
+        if pairs.plane_target is not None:
             # damped point-to-plane: tangential sliding is cheap, not free
-            idx = matches.global_match.idx_pred
-            a = X - self.target_points[idx]
-            n = self.target_normals[idx]
+            a = X - pairs.plane_target
+            n = pairs.plane_normal
             dots = np.einsum("ni,ni->n", a, n)
             d2 = np.einsum("ni,ni->n", a, a)
             terms["global"] = float(np.mean(dots**2 + PLANE_DAMPING * d2))
@@ -444,11 +410,10 @@ class FrameObjective:
     def _at(self, theta, matches):
         """Forward pass, matching (fresh at theta when matches is None), loss
         terms and dLoss/dX at theta."""
-        fw = self._pass(theta)
+        fw = self._forward(np.asarray(theta, dtype=np.float64))
         if matches is None:
             matches = self.match(fw["X"])
-        terms, G = self._loss_at(fw, matches)
-        return fw, matches, terms, G
+        return (fw, matches) + self._loss(fw["X"], matches)
 
     def evaluate(self, theta, matches=None):
         """Objective at theta. Fresh correspondences unless matches is given."""
@@ -460,56 +425,45 @@ class FrameObjective:
 
     # --- gradient and Gauss-Newton normal equations ------------------------------
 
-    def _first_order(self, theta, matches):
-        """_at plus the tangents A of _basis_tangents and the exact gradient
-        g = A^T vec(S1^T G), G = dLoss/dX: the one derivative path of gradient
-        and normal_equations."""
-        fw, matches, terms, G = self._at(theta, matches)
-        A = self._basis_tangents(fw)
-        g = A.reshape(-1, self.num_params).T @ (self.skin_basis.T @ G).ravel()
-        return fw, matches, terms, A, g
-
     def gradient(self, theta, matches=None):
-        """Exact gradient of the objective; correspondences frozen within the call.
-
-        Returns (gradient, total, matches). When matches is None a fresh
-        matching at theta is built first.
-        """
-        _, matches, terms, _, g = self._first_order(theta, matches)
+        """(gradient, total, matches): the exact g of normal_equations."""
+        _, g, terms, matches = self.normal_equations(theta, matches)
         return g, terms["total"], matches
 
     def normal_equations(self, theta, matches=None):
-        """Gauss-Newton normal equations of the frozen-match objective at theta.
+        """(H, g, terms, matches) of the frozen-match objective at theta; a
+        fresh matching at theta unless matches is given (see _gauss_newton)."""
+        fw, matches, terms, G = self._at(theta, matches)
+        return self._gauss_newton(fw, matches, G) + (terms, matches)
 
-        Returns (H, g, terms, matches). Every column of dX/dtheta is the skin
-        basis S1 (N x (4B + 1)) times a small coefficient matrix, dX = S1 A
-        with A of shape (4B + 1, 3, P) from the FK chain (_basis_tangents).
-        So with G = dLoss/dX the exact gradient is g = A^T vec(S1^T G), and
-        the isotropic blocks of H = dX^T (Gauss-Newton Hessian of the loss in
-        X) dX are sum_i A_i^T K A_i for one (4B + 1)-square K: the point
-        pairs' per-vertex weights, the point-to-plane damping, the Laplacian
-        and the edge-vector rigidity term enter as moments of S1 (see
-        FrameObjective). dX itself is formed only for the point-to-plane
-        normal term. When matches is None a fresh matching at theta is built
-        first.
+    def _gauss_newton(self, fw, pairs, G):
+        """(H, g) of a forward pass for a frozen matching, G = dLoss/dX there.
+
+        Every column of dX/dtheta is the skin basis S1 (N x (4B + 1)) times a
+        small coefficient matrix, dX = S1 A with A of shape (4B + 1, 3, P)
+        from the FK chain (_basis_tangents). So the exact gradient is
+        g = A^T vec(S1^T G), and the isotropic blocks of H = dX^T (Gauss-Newton
+        Hessian of the loss in X) dX are sum_i A_i^T K A_i for one
+        (4B + 1)-square K: the point pairs' per-vertex weights, the
+        point-to-plane damping, the Laplacian and the edge-vector rigidity
+        term enter as moments of S1 (see FrameObjective). dX itself is formed
+        only for the point-to-plane normal term.
         """
-        cfg = self.config
-        fw, matches, terms, A, g = self._first_order(theta, matches)
+        A = self._basis_tangents(fw)
+        g = A.reshape(-1, self.num_params).T @ (self.skin_basis.T @ G).ravel()
         n, P, r = len(fw["X"]), self.num_params, len(A)
         A_rows = A.reshape(3 * r, P)
 
-        K = self._point_pairs(matches).moments + self.regularizer_moments
-        plane = cfg.lambda_global > 0 and self.target_normals is not None \
-            and matches.global_match is not None
-        if plane:
-            c = 2.0 * cfg.lambda_global / n
+        K = pairs.moments + self.regularizer_moments
+        if pairs.plane_normal is not None:
+            c = 2.0 * self.config.lambda_global / n
             K += (c * PLANE_DAMPING) * self.basis_moments
         H = A_rows.T @ (K @ A.reshape(r, 3 * P)).reshape(3 * r, P)
-        if plane:
+        if pairs.plane_normal is not None:
             dX = (self.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
-            dn = np.einsum("nip,ni->np", dX, self.target_normals[matches.global_match.idx_pred])
+            dn = np.einsum("nip,ni->np", dX, pairs.plane_normal)
             H += c * (dn.T @ dn)
-        return H, g, terms, matches
+        return H, g
 
     def _basis_tangents(self, fw):
         """dX/dtheta of a forward pass as skin_basis @ A: returns A, (4B + 1, 3, P)."""
@@ -598,28 +552,36 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
 
     Each round freezes the nearest-neighbor matches and takes up to
     STEPS_PER_MATCH damped Gauss-Newton steps on the frozen objective: solve
-    (H + mu diag(H)) step = -g with FrameObjective.normal_equations, clip the
-    bone scales into scale_bounds, and keep the step only if the frozen
-    objective fell. The round then re-matches and is kept only if the true
+    (H + mu diag(H)) step = -g (FrameObjective._gauss_newton), clip the bone
+    scales into scale_bounds, and keep the step only if the frozen objective
+    fell. A step that rounds to no change of theta counts as flat without a
+    forward pass. The round then re-matches and is kept only if the true
     objective did not increase; a rejected round is retried from the same
     point. mu shrinks 3-fold on every kept step and grows on every rejected
     step or round, by a factor that doubles while rejections follow each
     other. max_iters caps the LM steps. Accepted rounds are non-increasing in
     the true objective, and bone scales respect scale_bounds at every iterate.
     history, when given, collects the objective value after every accepted
-    round. The re-matched point is only evaluated at first; H and g are built
-    there only when the round is kept and the solve goes on.
+    round.
 
-    Returns (theta, objective value, terms, iterations, stop_reason), where
-    stop_reason is "converged" (an accepted round lowered the objective by a
-    relative amount below convergence_tol, or no step changes the frozen
-    objective by more than that), "budget" (max_iters steps taken) or
-    "no-descent" (MAX_REJECTED_ROUNDS rounds in a row raised the objective, or
-    mu passed DAMPING_MAX).
+    The current point (theta, forward pass, matching, loss terms, dLoss/dX,
+    H and g) and the round's point are plain local state: each theta is
+    forwarded once, each (pass, matching) pair gets one loss, and H and g are
+    built at a re-matched point only when the round is kept and the solve goes on.
+
+    Returns (theta, X, terms, iterations, stop_reason), where X is the
+    deformed vertices at theta and stop_reason is "converged" (an accepted
+    round lowered the objective by a relative amount below convergence_tol, or
+    no step changes the frozen objective by more than that), "budget"
+    (max_iters steps taken) or "no-descent" (MAX_REJECTED_ROUNDS rounds in a
+    row raised the objective, or mu passed DAMPING_MAX).
     """
     tol = config.convergence_tol
     theta = objective.project(np.asarray(theta0, dtype=np.float64))
-    H, g, terms, matches = objective.normal_equations(theta)
+    fw = objective._forward(theta)
+    matches = objective.match(fw["X"])
+    terms, G = objective._loss(fw["X"], matches)
+    H, g = objective._gauss_newton(fw, matches, G)
     f_curr = terms["total"]
     if history is not None:
         history.append(f_curr)
@@ -628,42 +590,48 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     rejected = 0
     while True:
         if not np.any(g):
-            return theta, f_curr, terms, iterations, "converged"
+            return theta, fw["X"], terms, iterations, "converged"
         if iterations >= config.max_iters:
-            return theta, f_curr, terms, iterations, "budget"
+            return theta, fw["X"], terms, iterations, "budget"
         if damping > DAMPING_MAX or rejected >= MAX_REJECTED_ROUNDS:
-            return theta, f_curr, terms, iterations, "no-descent"
-        theta_r, f_r, H_r, g_r = theta, f_curr, H, g
+            return theta, fw["X"], terms, iterations, "no-descent"
+        theta_r, fw_r, G_r, f_r, H_r, g_r = theta, fw, G, f_curr, H, g
         flat = False
         for k in range(min(STEPS_PER_MATCH, config.max_iters - iterations)):
             if k:
-                H_r, g_r, _, _ = objective.normal_equations(theta_r, matches)
+                H_r, g_r = objective._gauss_newton(fw_r, matches, G_r)
             iterations += 1
             theta_t = objective.project(theta_r + _lm_step(objective, theta_r, H_r, g_r, damping))
-            f_t = objective.value(theta_t, matches)
+            f_t = f_r
+            if theta_t.tobytes() != theta_r.tobytes():
+                fw_t = objective._forward(theta_t)
+                terms_t, G_t = objective._loss(fw_t["X"], matches)
+                f_t = terms_t["total"]
             if f_t >= f_r:
                 flat = f_t - f_r <= tol * abs(f_r)
                 damping, growth = damping * growth, growth * 2.0
                 break
-            theta_r, f_r = theta_t, f_t
+            theta_r, fw_r, G_r, f_r = theta_t, fw_t, G_t, f_t
             damping = max(damping / 3.0, DAMPING_MIN)
         if theta_r is theta:
             if flat:
-                return theta, f_curr, terms, iterations, "converged"
+                return theta, fw["X"], terms, iterations, "converged"
             continue
-        f_n, terms_n, matches_n = objective.evaluate(theta_r)
+        matches_n = objective.match(fw_r["X"])
+        terms_n, G_n = objective._loss(fw_r["X"], matches_n)
+        f_n = terms_n["total"]
         if f_n > f_curr:
             rejected += 1
             damping, growth = damping * growth, growth * 2.0
             continue
         rejected, growth = 0, 2.0
         rel_drop = (f_curr - f_n) / max(abs(f_curr), 1e-300)
-        theta, f_curr, terms, matches = theta_r, f_n, terms_n, matches_n
+        theta, fw, G, f_curr, terms, matches = theta_r, fw_r, G_n, f_n, terms_n, matches_n
         if history is not None:
             history.append(f_curr)
         if rel_drop < tol:
-            return theta, f_curr, terms, iterations, "converged"
-        H, g, _, _ = objective.normal_equations(theta, matches)
+            return theta, fw["X"], terms, iterations, "converged"
+        H, g = objective._gauss_newton(fw, matches, G)
 
 
 def fold_root_bone(skeleton: Skeleton, frame: MotionFrame) -> MotionFrame:
@@ -817,12 +785,12 @@ def fit_motion(
             canonical, skeleton, weights, target, config,
             prev_vertices=prev_vertices, target_weights=target_w, frame_index=t,
         )
-        theta, _, terms, used, stop_reason = _minimize(objective, theta_aligned, config)
+        theta, X, terms, used, stop_reason = _minimize(objective, theta_aligned, config)
         iterations += used
         # the fold only changes how the pose is written, so the next frame's
         # warm start and rigidity reference still come from theta
         frames.append(fold_root_bone(skeleton, objective.frame_from_parameters(theta)))
-        prev_vertices = objective.deform(theta)
+        prev_vertices = X
         theta_prev2 = theta_prev
         theta_prev = theta
         report.add_frame(t, terms, iterations, time.perf_counter() - start, stop_reason)

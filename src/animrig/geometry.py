@@ -1,4 +1,4 @@
-"""Triangle meshes: construction, face-induced adjacency, mirror reflection, file I/O.
+"""Triangle meshes: construction, face-induced adjacency, file I/O.
 
 Meshes are stored in raw model units (no normalization on load) and are
 immutable after construction, so they are safe to share across threads.
@@ -114,33 +114,6 @@ class TriMesh:
         return f"TriMesh({self.num_vertices} vertices, {self.num_faces} faces)"
 
 
-class SymmetryPlane:
-    """Mirror plane given by a unit normal and its signed offset from the origin.
-
-    The default is the x = 0 plane, the usual character-rig convention.
-    """
-
-    def __init__(self, normal=(1.0, 0.0, 0.0), offset=0.0):
-        normal = np.asarray(normal, dtype=np.float64)
-        if normal.shape != (3,):
-            raise ValueError("plane normal must be a 3-vector")
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            raise ValueError("plane normal must be nonzero")
-        normal = normal / norm
-        normal.setflags(write=False)
-        self.normal = normal
-        self.offset = float(offset)
-
-    def reflect_points(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        signed = points @ self.normal - self.offset
-        return points - 2.0 * signed[..., None] * self.normal
-
-    def __repr__(self):
-        return f"SymmetryPlane(normal={self.normal.tolist()}, offset={self.offset})"
-
-
 def load_mesh(path) -> TriMesh:
     """Read a Wavefront-style ASCII triangle mesh (`v x y z` / `f i j k` lines).
 
@@ -228,11 +201,6 @@ def save_mesh(mesh: TriMesh, path):
     with open(path, "w") as fh:
         fh.write("v %.9g %.9g %.9g\n" * mesh.num_vertices % tuple(mesh.vertices.ravel().tolist()))
         fh.write("f %d %d %d\n" * mesh.num_faces % tuple((mesh.faces + 1).ravel().tolist()))
-
-
-def reflect(mesh: TriMesh, plane: SymmetryPlane) -> TriMesh:
-    """Mirror every vertex across the plane; faces are left unchanged."""
-    return mesh.with_vertices(plane.reflect_points(mesh.vertices))
 
 
 def bbox_diagonal(mesh) -> float:

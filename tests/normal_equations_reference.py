@@ -20,7 +20,8 @@ def deform_jacobian(obj, fw):
 
 
 def explicit_normal_equations(obj, theta, matches):
-    """(H, g) of obj at theta for the frozen matches, from the explicit dX."""
+    """(H, g) of obj at theta for the frozen matches (the record of obj.match),
+    from the explicit dX."""
     cfg = obj.config
     fw = obj._forward(np.array(theta, dtype=np.float64))
     X = fw["X"]
@@ -30,14 +31,12 @@ def explicit_normal_equations(obj, theta, matches):
     D = dX.reshape(3 * n, P)
     g = D.T @ G.ravel()
 
-    pairs = obj._point_pairs(matches)
-    weight = np.bincount(pairs.vertex, pairs.grad_coef, minlength=n)
+    weight = np.bincount(matches.vertex, matches.grad_coef, minlength=n)
     H = np.zeros((P, P))
-    if cfg.lambda_global > 0 and obj.target_normals is not None \
-            and matches.global_match is not None:
+    if matches.plane_normal is not None:
         c = 2.0 * cfg.lambda_global / n
         weight = weight + c * PLANE_DAMPING
-        dn = np.einsum("nip,ni->np", dX, obj.target_normals[matches.global_match.idx_pred])
+        dn = np.einsum("nip,ni->np", dX, matches.plane_normal)
         H += c * (dn.T @ dn)
     H += D.T @ (np.repeat(weight, 3)[:, None] * D)
     if cfg.lambda_lap > 0:

@@ -9,9 +9,8 @@ from animrig.deform import (
     dynamic_rigidity_loss,
     export_frame_meshes,
     laplacian_loss,
-    symmetry_loss,
 )
-from animrig.geometry import SymmetryPlane, TriMesh, load_mesh
+from animrig.geometry import TriMesh, load_mesh
 from animrig import rotations as rot
 from animrig.skeleton import RigidTransform
 from animrig.skinning import SkinWeights
@@ -100,34 +99,6 @@ class TestBlendSkin:
                 blend_skin(mesh, sw, root, bones)
         with pytest.raises(ValueError):
             blend_skin(make_quad(), sw, root, rest_bones(2))
-
-
-class TestSymmetryLoss:
-    def test_mirror_symmetric_set_is_zero(self):
-        pts = np.array([[1.0, 0.3, 0.2], [-1.0, 0.3, 0.2], [0.0, -0.5, 0.9]])
-        assert symmetry_loss(TriMesh(pts), SymmetryPlane()) < 1e-12
-
-    def test_single_point_squared_double_distance(self):
-        d = 0.73
-        loss = symmetry_loss(TriMesh([[d, 0.0, 0.0]]), SymmetryPlane())
-        assert abs(loss - (2 * d) ** 2) < 1e-12
-
-    def test_matches_brute_force(self, rng):
-        pts = rng.normal(size=(60, 3))
-        plane = SymmetryPlane(rng.normal(size=3), 0.1)
-        mirrored = plane.reflect_points(pts)
-        brute = np.mean(
-            [min(np.sum((pts[j] - m) ** 2) for j in range(len(pts))) for m in mirrored]
-        )
-        assert abs(symmetry_loss(TriMesh(pts), plane) - brute) < 1e-12
-
-    def test_asymmetric_set_is_positive(self):
-        pts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        assert symmetry_loss(TriMesh(pts), SymmetryPlane()) > 0.1
-
-    def test_default_plane_is_x_zero(self):
-        pts = np.array([[1.0, 0.2, 0.0], [-1.0, 0.2, 0.0]])
-        assert symmetry_loss(TriMesh(pts)) < 1e-12
 
 
 class TestLaplacianLoss:

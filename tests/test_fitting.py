@@ -326,7 +326,8 @@ class TestNormalEquations:
 
 
 class TestObjectiveReuse:
-    """value, gradient and normal_equations share forward passes and losses."""
+    """_minimize forwards each theta once and evaluates each (pass, matching)
+    pair once; the objective itself keeps no per-theta state."""
 
     # parameters of the posed target, and the bone angles of a pose far from
     # it at which test_minimize_forwards_each_theta_once freezes the matching
@@ -349,46 +350,74 @@ class TestObjectiveReuse:
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_minimize_forwards_each_theta_once(self, rig, kind, monkeypatch):
-        forwards, losses, passes = [], [], []
-        forward, loss, cached = FrameObjective._forward, FrameObjective._loss, FrameObjective._pass
+        forwards, passes, losses, rematches = [], [], [], []
+        forward, loss = FrameObjective._forward, FrameObjective._loss
 
         def counted_forward(self, theta):
             forwards.append(theta.tobytes())
-            return forward(self, theta)
+            fw = forward(self, theta)
+            passes.append(fw["X"])  # holds every X, so identities stay unique
+            return fw
+
+        def pass_of(X):
+            return next(i for i, made in enumerate(passes) if made is X)
 
         def counted_loss(self, X, matches):
-            losses.append((X.tobytes(), matches))  # holds matches, so ids stay unique
+            losses.append((pass_of(X), matches))  # holds matches, so ids stay unique
             return loss(self, X, matches)
-
-        def counted_pass(self, theta):
-            passes.append(np.asarray(theta, dtype=np.float64).tobytes())
-            return cached(self, theta)
 
         obj = self.frame_objective(rig, kind)
         # every re-matching returns (a new object holding) the matching at a
         # pose far from the target: its frozen optimum lies outside the
         # bone-scale box, so a round's second step that crosses the box is
-        # rejected and the solve goes back to the pass before it
+        # rejected and the solve re-matches at the pass before it
         match_pose = obj.rest_parameters()
         match_pose[6:6 + 3 * obj.num_bones] = self.MATCH_ANGLES
         frozen = obj.match(obj.deform(match_pose))
-        monkeypatch.setattr(obj, "match", lambda X: replace(frozen))
+
+        def counted_match(X):
+            rematches.append((pass_of(X), len(passes)))
+            return replace(frozen)
+
+        monkeypatch.setattr(obj, "match", counted_match)
         monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
         monkeypatch.setattr(FrameObjective, "_loss", counted_loss)
-        monkeypatch.setattr(FrameObjective, "_pass", counted_pass)
         _minimize(obj, obj.rest_parameters(), replace(obj.config, max_iters=60))
         assert len(forwards) > 20
         assert len(set(forwards)) == len(forwards)
-        keys = [(x, id(m)) for x, m in losses]
+        keys = [(made, id(m)) for made, m in losses]
         assert len(set(keys)) == len(keys)
-        # the pass two forwards back was asked for again at least once
-        order = list(dict.fromkeys(forwards))
-        position = {key: i for i, key in enumerate(order)}
-        latest, returns = -1, 0
-        for key in passes:
-            returns += position[key] == latest - 1
-            latest = max(latest, position[key])
-        assert returns > 0
+        # some re-matching used the X of the pass made two forwards back
+        assert any(made == count - 2 for made, count in rematches)
+
+    def test_step_that_rounds_to_nothing_is_not_forwarded(self, rig, monkeypatch):
+        # with convergence_tol=0 this solve runs until the damping has grown
+        # so large that a step no longer changes theta
+        mesh, skel, w = rig
+        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        pose = helper.rest_parameters()
+        pose[6:6 + 3 * helper.num_bones] = 0.4
+        pose[6 + 3 * helper.num_bones:] = 0.7
+        target = mesh.with_vertices(helper.deform(pose))
+        cfg = FitConfig(convergence_tol=0, lambda_lap=0, lambda_rigid=0, max_iters=300)
+        obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w)
+        forwards, null_steps = [], []
+        forward, lm_step = FrameObjective._forward, fitting._lm_step
+
+        def counted_forward(self, theta):
+            forwards.append(theta.tobytes())
+            return forward(self, theta)
+
+        def watched_step(objective, theta, H, g, damping):
+            step = lm_step(objective, theta, H, g, damping)
+            null_steps.append(objective.project(theta + step).tobytes() == theta.tobytes())
+            return step
+
+        monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
+        monkeypatch.setattr(fitting, "_lm_step", watched_step)
+        _minimize(obj, obj.rest_parameters(), cfg)
+        assert any(null_steps)
+        assert len(set(forwards)) == len(forwards)
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_cache_follows_theta_and_matching(self, rig, rng, kind):

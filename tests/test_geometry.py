@@ -4,12 +4,10 @@ import pytest
 from animrig.geometry import (
     EmptyInputError,
     MeshFormatError,
-    SymmetryPlane,
     TriMesh,
     UnsupportedTopologyError,
     bbox_diagonal,
     load_mesh,
-    reflect,
     save_mesh,
 )
 from shapes import make_cube, make_quad
@@ -125,44 +123,6 @@ class TestTriMesh:
         mesh = TriMesh([[1.0, 2.0, 3.0]])
         assert mesh.num_faces == 0
         assert mesh.vertex_neighbors == ((),)
-
-
-class TestReflect:
-    def test_mirror_point(self):
-        mesh = TriMesh([[1.0, 0.0, 0.0]])
-        out = reflect(mesh, SymmetryPlane((1, 0, 0), 0.0))
-        assert np.allclose(out.vertices, [[-1.0, 0.0, 0.0]])
-
-    def test_point_on_plane_fixed(self):
-        mesh = TriMesh([[0.0, 2.0, -3.0]])
-        out = reflect(mesh, SymmetryPlane((1, 0, 0), 0.0))
-        assert np.array_equal(out.vertices, mesh.vertices)
-
-    def test_involution(self, rng):
-        mesh = TriMesh(rng.normal(size=(200, 3)))
-        plane = SymmetryPlane(rng.normal(size=3), offset=0.37)
-        twice = reflect(reflect(mesh, plane), plane)
-        assert np.abs(twice.vertices - mesh.vertices).max() < 1e-12
-
-    def test_faces_unchanged(self):
-        mesh = make_quad()
-        out = reflect(mesh, SymmetryPlane())
-        assert np.array_equal(out.faces, mesh.faces)
-
-    def test_offset_plane(self):
-        plane = SymmetryPlane((1, 0, 0), offset=2.0)  # plane x = 2
-        out = plane.reflect_points(np.array([[3.0, 1.0, 0.0]]))
-        assert np.allclose(out, [[1.0, 1.0, 0.0]])
-
-
-class TestSymmetryPlane:
-    def test_normal_is_normalized(self):
-        plane = SymmetryPlane((0, 0, 10), 1.0)
-        assert abs(np.linalg.norm(plane.normal) - 1.0) < 1e-9
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            SymmetryPlane((0, 0, 0))
 
 
 class TestBboxDiagonal:
