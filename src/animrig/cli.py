@@ -54,6 +54,7 @@ from .skinning import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+SKINNING_METHODS = ("heat", "gaussian")
 
 def _write_json(data, path):
     with open(path, "w") as fh:
@@ -69,7 +70,7 @@ class PipelineConfig:
     skeleton: str
     supervision_dir: str
     out_dir: str
-    skinning_method: str = "heat"  # "heat" or "gaussian"
+    skinning_method: str = "heat"  # one of SKINNING_METHODS
     weights: str | None = None    # optional precomputed weights file
     fit: FitConfig = field(default_factory=FitConfig)
     retarget_target_mesh: str | None = None
@@ -146,6 +147,9 @@ def _check_assets(config: PipelineConfig):
                 skeleton = load_skeleton(config.skeleton)
         except Exception as exc:
             diagnostics.append(f"skeleton invalid: {exc}")
+
+    if config.skinning_method not in SKINNING_METHODS:
+        diagnostics.append(f"skinning method not in {SKINNING_METHODS}: {config.skinning_method!r}")
 
     if not os.path.isdir(config.supervision_dir):
         diagnostics.append(f"supervision directory not found: {config.supervision_dir}")
@@ -445,7 +449,7 @@ def build_parser():
     p = sub.add_parser("skin", help="compute skin weights for a mesh and skeleton")
     p.add_argument("--mesh", required=True)
     p.add_argument("--skeleton", required=True)
-    p.add_argument("--method", choices=["heat", "gaussian"], default="heat")
+    p.add_argument("--method", choices=SKINNING_METHODS, default="heat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_skin)
 

@@ -22,9 +22,9 @@ when asked. _minimize holds the solver state (the current and the round's
 theta, forward pass, matching, loss and dLoss/dX), so it decides what is
 reused and forwards each theta once.
 
-The fitted frames are returned in one gauge: when the root joint has a single
-child bone, that bone's rotation is folded into the root transform (see
-fold_root_bone), so its returned angles are zero.
+The fit solves only identifiable parameters: when the root joint has a single
+child bone, the solver holds that bone's rotation and scale at rest and the
+root transform carries them (see FrameObjective.pinned).
 """
 
 from __future__ import annotations
@@ -186,6 +186,13 @@ class FrameObjective:
     regularizers' constant moments, (L S1)^T (L S1) for the Laplacian and
     (E S1)^T (E S1) for the edge differences E, for _gauss_newton. It holds
     no other state: _minimize keeps the passes, matchings and losses it reuses.
+
+    pinned masks the parameters _lm_step holds at their start value. When the
+    root joint has a single child bone b, b's rotation trades off exactly
+    against the root rotation and b's scale against the root translation
+    along b, so b's angles and scale are pinned (at rest from
+    rest_parameters). evaluate, gradient and normal_equations still
+    differentiate in all 6 + 4B parameters.
     """
 
     def __init__(
@@ -216,6 +223,12 @@ class FrameObjective:
         self.frame_index = frame_index
         self.num_bones = skeleton.num_bones
         self.num_params = 6 + 4 * self.num_bones
+        self.pinned = np.zeros(self.num_params, dtype=bool)
+        lone = np.flatnonzero(skeleton.bone_parent_bones < 0)
+        if len(lone) == 1:
+            b = int(lone[0])
+            self.pinned[6 + 3 * b:9 + 3 * b] = True
+            self.pinned[6 + 3 * self.num_bones + b] = True
 
         self.target_points = target.vertices if target_points is None else target_points
         self.target_normals = target_normals
@@ -531,13 +544,14 @@ MAX_REJECTED_ROUNDS = 3
 def _lm_step(objective: FrameObjective, theta, H, g, damping):
     """Solve the damped normal equations for one step from theta.
 
-    A bone scale at a bound that the gradient pushes against is held fixed,
-    so the other parameters are solved for without it.
+    The pinned parameters (FrameObjective.pinned) and a bone scale at a bound
+    that the gradient pushes against are held fixed: the step leaves them
+    exactly as they are and the other parameters are solved for without them.
     """
     s = 6 + 3 * objective.num_bones
     lo, hi = objective.config.scale_bounds
-    free = np.ones(len(theta), dtype=bool)
-    free[s:] = ~(((theta[s:] <= lo) & (g[s:] > 0)) | ((theta[s:] >= hi) & (g[s:] < 0)))
+    free = ~objective.pinned
+    free[s:] &= ~(((theta[s:] <= lo) & (g[s:] > 0)) | ((theta[s:] >= hi) & (g[s:] < 0)))
     Hf = H[np.ix_(free, free)]
     diag = np.diag(Hf)
     # a zero diagonal entry is a parameter the loss does not read (zero row and column)
@@ -634,33 +648,6 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
         H, g = objective._gauss_newton(fw, matches, G)
 
 
-def fold_root_bone(skeleton: Skeleton, frame: MotionFrame) -> MotionFrame:
-    """The same pose with a lone root bone's rotation moved into the root.
-
-    When the root joint has exactly one child bone b, every bone's world
-    rotation carries b's rotation as a left factor, and skin weights sum to 1,
-    so only the product R_root @ R_b reaches the vertices: the two rotations
-    trade off exactly. The fold sets R_root <- R_root @ R_b and angles[b] <- 0,
-    and shifts the root translation by (R_root_old - R_root_new) @ p_root so
-    the root joint p_root stays put. Posed vertices and joints are unchanged.
-    Any other skeleton's frame is returned as is.
-    """
-    lone = np.flatnonzero(skeleton.bone_parent_bones < 0)
-    if len(lone) != 1:
-        return frame
-    b = int(lone[0])
-    q = rot.quat_normalize(
-        rot.quat_multiply(frame.root.quaternion, rot.quat_from_rotation_vector(frame.angles[b]))
-    )
-    p_root = skeleton.joints[skeleton.root]
-    translation = frame.root.translation + (
-        frame.root.rotation_matrix - rot.quat_to_matrix(q)
-    ) @ p_root
-    angles = frame.angles.copy()
-    angles[b] = 0.0
-    return MotionFrame(RigidTransform(q, translation), angles, frame.bone_scales)
-
-
 def _posed_copy(skeleton: Skeleton, frame: MotionFrame) -> Skeleton:
     """Skeleton with joints moved to their posed world positions."""
     return Skeleton(posed_joints(skeleton, frame), skeleton.parents, skeleton.names)
@@ -723,7 +710,7 @@ def fit_motion(
     skeleton posed at the coarse-aligned parameters. Every supervision mesh
     (and its weights) is checked before any frame is solved: a mesh whose
     faces all have zero area leaves no surface to match and raises
-    ValueError naming the frame. Returned frames pass through fold_root_bone.
+    ValueError naming the frame.
     Returns (MotionClip, FitReport).
     """
     config = config or FitConfig()
@@ -787,9 +774,7 @@ def fit_motion(
         )
         theta, X, terms, used, stop_reason = _minimize(objective, theta_aligned, config)
         iterations += used
-        # the fold only changes how the pose is written, so the next frame's
-        # warm start and rigidity reference still come from theta
-        frames.append(fold_root_bone(skeleton, objective.frame_from_parameters(theta)))
+        frames.append(objective.frame_from_parameters(theta))
         prev_vertices = X
         theta_prev2 = theta_prev
         theta_prev = theta

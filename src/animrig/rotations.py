@@ -16,20 +16,6 @@ def quat_normalize(q):
     return q / n
 
 
-def quat_multiply(a, b):
-    """Hamilton product a*b (apply b first, then a when rotating points)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
 def quat_to_matrix(q):
     w, x, y, z = q
     xx, yy, zz = x * x, y * y, z * z

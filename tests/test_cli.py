@@ -190,6 +190,17 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 2
 
+    def test_unknown_skinning_method_exits_2(self, assets, tmp_path, capsys):
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["skinning"]["method"] = "gausian"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "gausian" in capsys.readouterr().out
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "gausian" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitCommand:
     def test_missing_supervision_exits_2_naming_path(self, assets, tmp_path, capsys):
