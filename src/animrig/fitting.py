@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 from . import chamfer as ch
 from . import rotations as rot
 from .deform import blend_skin_arrays
-from .geometry import TriMesh
+from .geometry import TriMesh, bbox_diagonal
 from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays, posed_joints
 from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 
@@ -539,6 +539,17 @@ DAMPING_MAX = 1e9
 # rounds in a row whose re-matching raised the objective before a frame stops
 # with "no-descent": the step crosses a change of matches, not a model error
 MAX_REJECTED_ROUNDS = 3
+# residual, in units of the target's bbox diagonal times the float64 epsilon,
+# below which a fit is exact: every loss term is a weighted mean of squared
+# lengths, so at this size rounding alone decides whether a step lowers it
+EXACT_FIT_ULPS = 64.0
+
+
+def _exact_fit_floor(objective: FrameObjective):
+    """The objective value at or below which a frame counts as converged."""
+    cfg = objective.config
+    scale = EXACT_FIT_ULPS * np.finfo(np.float64).eps * bbox_diagonal(objective.target_points)
+    return sum(getattr(cfg, name) for name in _LAMBDAS) * scale**2
 
 
 def _lm_step(objective: FrameObjective, theta, H, g, damping):
@@ -585,12 +596,14 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
 
     Returns (theta, X, terms, iterations, stop_reason), where X is the
     deformed vertices at theta and stop_reason is "converged" (an accepted
-    round lowered the objective by a relative amount below convergence_tol, or
-    no step changes the frozen objective by more than that), "budget"
+    round lowered the objective by a relative amount below convergence_tol, no
+    step changes the frozen objective by more than that, or the objective is
+    at or below _exact_fit_floor, where rounding decides acceptance), "budget"
     (max_iters steps taken) or "no-descent" (MAX_REJECTED_ROUNDS rounds in a
     row raised the objective, or mu passed DAMPING_MAX).
     """
     tol = config.convergence_tol
+    floor = _exact_fit_floor(objective)
     theta = objective.project(np.asarray(theta0, dtype=np.float64))
     fw = objective._forward(theta)
     matches = objective.match(fw["X"])
@@ -603,7 +616,7 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     iterations = 0
     rejected = 0
     while True:
-        if not np.any(g):
+        if f_curr <= floor or not np.any(g):
             return theta, fw["X"], terms, iterations, "converged"
         if iterations >= config.max_iters:
             return theta, fw["X"], terms, iterations, "budget"

@@ -154,6 +154,30 @@ def _column_crossings(py, pz, tri2d, tri_x, eps=1e-12):
     return np.sort(crossings)
 
 
+def _column_buckets(tri2d, origin, voxel, dims):
+    """(j, k, face ids) of each (y, z) voxel column that triangle bboxes cover.
+
+    tri2d holds the triangles' (y, z) corners. A triangle goes to every
+    column in its bbox, clipped to the grid; each column lists its faces in
+    ascending order, and the columns come in ascending (j, k) order.
+    """
+    lo = np.floor((tri2d.min(axis=1) - origin[1:]) / voxel).astype(int)
+    hi = np.floor((tri2d.max(axis=1) - origin[1:]) / voxel).astype(int)
+    lo = np.maximum(lo, 0)
+    span = np.maximum(np.minimum(hi, np.asarray(dims[1:]) - 1) - lo + 1, 0)
+    count = span[:, 0] * span[:, 1]
+    face = np.repeat(np.arange(len(tri2d)), count)
+    # position of each (face, column) entry within its face's span[0] x span[1] block
+    local = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    width = span[face, 1]
+    column = (lo[face, 0] + local // width) * dims[2] + lo[face, 1] + local % width
+    order = np.argsort(column, kind="stable")
+    column, face = column[order], face[order]
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
+    ends = np.append(starts[1:], len(column))
+    return [divmod(int(column[a]), int(dims[2])) + (face[a:b],) for a, b in zip(starts, ends)]
+
+
 def build_interior_field(mesh: TriMesh, resolution: int) -> InteriorField:
     """Voxelize a mesh interior by x-ray parity and propagate surface distance.
 
@@ -180,21 +204,9 @@ def build_interior_field(mesh: TriMesh, resolution: int) -> InteriorField:
     tris = mesh.vertices[mesh.faces]          # (F, 3, 3)
     tri2d = tris[:, :, 1:]                    # (y, z) projection
     tri_x = tris[:, :, 0]
-    # bucket triangles by the (y, z) voxel columns their bbox covers
-    ylo = np.floor((tri2d[:, :, 0].min(axis=1) - origin[1]) / voxel).astype(int)
-    yhi = np.floor((tri2d[:, :, 0].max(axis=1) - origin[1]) / voxel).astype(int)
-    zlo = np.floor((tri2d[:, :, 1].min(axis=1) - origin[2]) / voxel).astype(int)
-    zhi = np.floor((tri2d[:, :, 1].max(axis=1) - origin[2]) / voxel).astype(int)
-    buckets = {}
-    for f in range(len(tris)):
-        for j in range(max(ylo[f], 0), min(yhi[f], dims[1] - 1) + 1):
-            for k in range(max(zlo[f], 0), min(zhi[f], dims[2] - 1) + 1):
-                buckets.setdefault((j, k), []).append(f)
-
     interior = np.zeros(tuple(dims), dtype=bool)
     x_centers = origin[0] + (np.arange(dims[0]) + 0.5) * voxel
-    for (j, k), face_ids in buckets.items():
-        ids = np.array(face_ids)
+    for j, k, ids in _column_buckets(tri2d, origin, voxel, dims):
         py = origin[1] + (j + 0.5) * voxel
         pz = origin[2] + (k + 0.5) * voxel
         crossings = None

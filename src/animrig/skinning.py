@@ -11,9 +11,13 @@ per bone instead of testing every face for every ray (O(N * F * B)). The faces
 sit in a uniform grid stored as a sparse table of occupied cells (sorted cell
 keys and CSR face lists, O(F) memory); rays are cut into pieces no longer than
 a cell, each piece gathers the faces of the cells it reaches, and the distinct
-(ray, face) pairs run through the same Moller-Trumbore test in fixed-size
-blocks, so the anchors and distances equal those of the brute-force test and
+(ray, face) pairs run through Moller-Trumbore in blocks of bounded size, so
 the working set does not grow with N or F beyond the O(N * B + F) arrays.
+Each pair gathers its face's (v0, e1, e2) row from a table built once per
+call; pairs whose ray is already blocked or whose face touches the ray's
+vertex are dropped before any arithmetic, and the rest form the test's
+products and sums component by component in the order of the brute-force
+test, so the anchors and distances equal its own bit for bit.
 """
 
 from __future__ import annotations
@@ -241,12 +245,13 @@ def point_segment_distances(points, seg_starts, seg_ends):
 
 
 # Working-set bounds of the visibility pass: rays are cut into pieces, at most
-# _PIECE_BUDGET pieces are looked up in the grid at a time, and the
-# Moller-Trumbore test runs on blocks of exactly _PAIR_BLOCK (ray, face) pairs
-# but the last. Blocks of one size keep the test's temporaries at one size:
-# sliced to each group's pair count instead, they leave the peak RSS of the
-# heat skinning of a 5,138-vertex limb 0.4 MB higher.
-_PIECE_BUDGET = 512
+# _PIECE_BUDGET pieces are looked up in the grid at a time, and their pairs go
+# through the Moller-Trumbore test in slices of at most _PAIR_BLOCK. On the
+# 2,146- and 5,138-vertex bent limbs, 1024 pieces take about 10 % less time
+# than 512; 2048 pieces save about 5 % more but raise the traced peak of the
+# 5,138-vertex pass from 2.4 to 3.1 MB, and 4096-pair slices save about 3 %
+# for 0.3 MB more.
+_PIECE_BUDGET = 1024
 _PAIR_BLOCK = 2048
 # Grid cells per axis are capped so that a few tiny faces cannot blow up the
 # number of pieces per ray; the cap also keeps every cell key below 2**31.
@@ -255,6 +260,10 @@ _MAX_CELLS_PER_AXIS = 1024
 _CELL_PER_EXTENT = 1.5
 # Cell offsets of the 2 x 2 x 2 block a ray piece's box can touch.
 _PIECE_OFFSETS = np.array([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+# _REACHED[span @ _AXIS_BITS, o]: whether offset o is within a piece's cell
+# span, 0 or 1 per axis (_PIECE_OFFSETS[span @ _AXIS_BITS] is the span itself)
+_AXIS_BITS = np.array([4, 2, 1])
+_REACHED = np.all(_PIECE_OFFSETS[None, :, :] <= _PIECE_OFFSETS[:, None, :], axis=2)
 
 
 @dataclass(frozen=True)
@@ -324,21 +333,25 @@ def _sorted_distinct(keys):
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def _candidate_pairs(grid, vertices, directions, t_exit, pieces, cum, piece, shift):
+def _candidate_pairs(grid, rays, t_exit, pieces, cum, piece, shift):
     """Sorted distinct keys ray << shift | face of the (ray, face) candidates of pieces.
 
-    Ray r runs from vertices[r] to vertices[r] + t_exit[r] * directions[r]
-    (its part inside the padded grid box) in pieces[r] equal pieces, each no
-    longer than 0.99 cells, so a piece's padded box lies in the 2 x 2 x 2
-    cells from its lower corner's cell; every piece also takes the list of
-    large faces. Pieces are numbered across rays (cum = cumsum(pieces)).
+    Ray r runs from its origin rays[r, :3] to rays[r, :3] + t_exit[r] *
+    rays[r, 3:] (its part inside the padded grid box) in pieces[r] equal
+    pieces, each no longer than 0.99 cells, so a piece's padded box lies in
+    the 2 x 2 x 2 cells from its lower corner's cell; every piece also takes
+    the list of large faces. Pieces are numbered across rays (cum =
+    cumsum(pieces)).
     """
     n_cells = len(grid.cell_keys)
     ray = np.searchsorted(cum, piece, side="right")
     k = pieces[ray]
     j = piece - (cum[ray] - k)
-    a = vertices[ray] + (t_exit[ray] * j / k)[:, None] * directions[ray]
-    b = vertices[ray] + (t_exit[ray] * (j + 1) / k)[:, None] * directions[ray]
+    own, t = rays[ray], t_exit[ray]
+    origin, direction = own[:, :3], own[:, 3:]
+    a = origin + (t * j / k)[:, None] * direction
+    b = origin + (t * (j + 1) / k)[:, None] * direction
+    del own, origin, direction, t
     c0 = np.clip(np.floor((np.minimum(a, b) - grid.pad - grid.lo) / grid.cell),
                  0, grid.dims - 2).astype(np.int64)
     c1 = np.clip(np.floor((np.maximum(a, b) + grid.pad - grid.lo) / grid.cell),
@@ -347,15 +360,17 @@ def _candidate_pairs(grid, vertices, directions, t_exit, pieces, cum, piece, shi
     base = (c0[:, 0] * grid.dims[1] + c0[:, 1]) * grid.dims[2] + c0[:, 2]
     step = (_PIECE_OFFSETS[:, 0] * grid.dims[1] + _PIECE_OFFSETS[:, 1]) * grid.dims[2] \
         + _PIECE_OFFSETS[:, 2]
-    keys = base[:, None] + step[None, :]
+    # of the 2 x 2 x 2 block, only the cells the piece's padded box reaches:
+    # c1 - c0 is 0 or 1 per axis, since the box is shorter than a cell
+    reach = _REACHED[(c1 - c0) @ _AXIS_BITS]
+    keys = (base[:, None] + step[None, :])[reach]
+    owner = np.repeat(ray, np.count_nonzero(reach, axis=1))
     pos = np.searchsorted(grid.cell_keys, keys)
-    # of the 2 x 2 x 2 block, only the cells the piece's padded box reaches
-    reach = np.all(_PIECE_OFFSETS[None, :, :] <= (c1 - c0)[:, None, :], axis=2)
-    found = reach & (grid.cell_keys.take(pos, mode="clip") == keys)
+    found = grid.cell_keys.take(pos, mode="clip") == keys
     # distinct (ray, cell) slots ray << cell_shift | cell; cell C is the
     # large-face list
     cell_shift = (n_cells + 1).bit_length()
-    slot = _sorted_distinct(np.concatenate([((ray[:, None] << cell_shift) | pos)[found],
+    slot = _sorted_distinct(np.concatenate([((owner << cell_shift) | pos)[found],
                                             (ray << cell_shift) | n_cells]))
     ray = slot >> cell_shift
     cell = slot & ((1 << cell_shift) - 1)
@@ -365,29 +380,52 @@ def _candidate_pairs(grid, vertices, directions, t_exit, pieces, cum, piece, shi
     return _sorted_distinct((np.repeat(ray, counts) << shift) | grid.cell_faces[at])
 
 
-def _test_pairs(vertices, faces, directions, keys, shift, blocked):
+def _face_table(vertices, faces):
+    """(F, 9) rows v0, e1 = v1 - v0, e2 = v2 - v0: each face's Moller-Trumbore operands."""
+    v0 = vertices[faces[:, 0]]
+    return np.hstack([v0, vertices[faces[:, 1]] - v0, vertices[faces[:, 2]] - v0])
+
+
+def _dot(ax, ay, az, bx, by, bz):
+    """Dot products of vectors given by components, summed as (x + z) + y.
+
+    That is the order in which numpy's einsum("fi,fi->f") sums rows of 3 on
+    x86-64 (a two-lane SIMD sum), so the values equal those of the brute-force
+    per-ray test, which uses einsum.
+    """
+    return (ax * bx + az * bz) + ay * by
+
+
+def _test_pairs(faces, table, rays, keys, shift, blocked):
     """Set blocked[r] for each key r << shift | f whose ray r crosses face f.
 
-    Moller-Trumbore with the expressions, order and thresholds of the
-    brute-force per-ray test on each pair, so the result is the same. Pairs
-    of incident faces and of rays already blocked are masked, not removed.
+    Pairs whose ray is already blocked or whose face is incident to the ray's
+    vertex r are dropped first. The rest gather their face's row of table
+    (_face_table) and their ray's row of rays (origin, direction) and run
+    Moller-Trumbore with the products, sums, order and thresholds of the
+    brute-force per-ray test, so every pair gets the same result.
     """
     r = keys >> shift
     f = keys & ((1 << shift) - 1)
-    tested = ~blocked[r] & ~np.any(faces[f] == r[:, None], axis=1)
-    direction = directions[r]
-    v0 = vertices[faces[f, 0]]
-    e1 = vertices[faces[f, 1]] - v0
-    e2 = vertices[faces[f, 2]] - v0
-    h = np.cross(direction, e2)
-    det = np.einsum("fi,fi->f", e1, h)
-    ok = tested & (np.abs(det) > 1e-14)
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = vertices[r] - v0
-    u = inv * np.einsum("fi,fi->f", s, h)
-    q = np.cross(s, e1)
-    v = inv * np.einsum("fi,fi->f", direction, q)
-    t = inv * np.einsum("fi,fi->f", e2, q)
+    corner = faces[f]
+    keep = ~blocked[r] & (corner[:, 0] != r) & (corner[:, 1] != r) & (corner[:, 2] != r)
+    del corner
+    r, f = r[keep], f[keep]
+    ox, oy, oz, dx, dy, dz = rays[r].T
+    v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = table[f].T
+    hx = dy * e2z - dz * e2y
+    hy = dz * e2x - dx * e2z
+    hz = dx * e2y - dy * e2x
+    det = _dot(e1x, e1y, e1z, hx, hy, hz)
+    ok = np.abs(det) > 1e-14
+    inv = 1.0 / np.where(ok, det, 1.0)
+    sx, sy, sz = ox - v0x, oy - v0y, oz - v0z
+    u = inv * _dot(sx, sy, sz, hx, hy, hz)
+    qx = sy * e1z - sz * e1y
+    qy = sz * e1x - sx * e1z
+    qz = sx * e1y - sy * e1x
+    v = inv * _dot(dx, dy, dz, qx, qy, qz)
+    t = inv * _dot(e2x, e2y, e2z, qx, qy, qz)
     eps = 1e-9
     hit = (
         ok
@@ -400,14 +438,18 @@ def _test_pairs(vertices, faces, directions, keys, shift, blocked):
     blocked[r[hit]] = True
 
 
-def _blocked_rays(vertices, faces, grid, targets):
+def _blocked_rays(vertices, faces, grid, table, targets):
     """(N,) bool: True where the open segment vertices[n]->targets[n] crosses a face.
 
     Faces incident to vertex n are skipped, a ray shorter than 1e-12 is never
     blocked, and grazing or numerically ambiguous hits do not count.
     """
     shift = len(faces).bit_length()
-    directions = targets - vertices
+    # each ray's row: origin, then direction
+    rays = np.empty((len(vertices), 6))
+    rays[:, :3] = vertices
+    directions = rays[:, 3:]
+    np.subtract(targets, vertices, out=directions)
     length = np.linalg.norm(directions, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         exits = np.where(directions > 0, (grid.hi + grid.pad - vertices) / directions,
@@ -420,21 +462,12 @@ def _blocked_rays(vertices, faces, grid, targets):
                       ).astype(np.int64)
     cum = np.cumsum(pieces)
     blocked = np.zeros(len(vertices), dtype=bool)
-    block = np.empty(_PAIR_BLOCK, dtype=np.int64)
-    filled = 0
-    for first_piece in range(0, int(cum[-1]), _PIECE_BUDGET):
-        piece = np.arange(first_piece, min(first_piece + _PIECE_BUDGET, int(cum[-1])))
-        pairs = _candidate_pairs(grid, vertices, directions, t_exit, pieces, cum, piece, shift)
-        done = 0
-        while done < len(pairs):
-            take = min(_PAIR_BLOCK - filled, len(pairs) - done)
-            block[filled:filled + take] = pairs[done:done + take]
-            filled += take
-            done += take
-            if filled == _PAIR_BLOCK:
-                _test_pairs(vertices, faces, directions, block, shift, blocked)
-                filled = 0
-    _test_pairs(vertices, faces, directions, block[:filled], shift, blocked)
+    total = int(cum[-1])
+    for first in range(0, total, _PIECE_BUDGET):
+        piece = np.arange(first, min(first + _PIECE_BUDGET, total))
+        pairs = _candidate_pairs(grid, rays, t_exit, pieces, cum, piece, shift)
+        for at in range(0, len(pairs), _PAIR_BLOCK):
+            _test_pairs(faces, table, rays, pairs[at:at + _PAIR_BLOCK], shift, blocked)
     return blocked
 
 
@@ -456,8 +489,12 @@ def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True
     cells goes to a list every ray tests), so the grid takes O(F) memory
     whatever the face sizes. Each ray is cut into pieces shorter than a cell,
     each piece looks up the (at most 8) cells its padded box reaches, and the
-    distinct (ray, face) pairs go through Moller-Trumbore in blocks of
-    _PAIR_BLOCK.
+    distinct (ray, face) pairs go through Moller-Trumbore in slices of at most
+    _PAIR_BLOCK. A pair reads its face from an (F, 9) table of v0, e1 and e2
+    built once per call and its ray's origin and direction from one row;
+    pairs of rays already blocked and of faces incident to the ray's vertex
+    are dropped before the test, which forms its cross and dot products
+    component by component.
     Time is O(F log F) for the grid plus, per bone, O(P log C + K log K) for
     P pieces, C occupied cells and K candidate pairs, instead of the O(N * F)
     of testing every face; the working set beyond O(N * B + F) is fixed by
@@ -471,13 +508,14 @@ def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True
     open_ = np.ones((n_verts, n_bones), dtype=bool)
     test_rays = use_visibility and len(faces) > 0
     grid = _face_grid(vertices, faces) if test_rays else None
+    table = _face_table(vertices, faces) if test_rays else None
     for b in range(n_bones):  # one bone at a time: no (N, B, 3) array is formed
         d, closest = point_segment_distances(vertices, seg_a[b:b + 1], seg_b[b:b + 1])
         dist[:, b] = d[:, 0]
         if test_rays:
-            open_[:, b] = ~_blocked_rays(vertices, faces, grid, closest[:, 0])
+            open_[:, b] = ~_blocked_rays(vertices, faces, grid, table, closest[:, 0])
         del d, closest
-    del grid
+    del grid, table
     # first visible bone in distance order, else the nearest one; flat indices
     # (vertex * B + bone) keep to one-dimensional gathers
     order = np.argsort(dist, axis=1, kind="stable")

@@ -1,7 +1,8 @@
 """Per-point and per-line references for skeleton embedding and mesh I/O.
 
 These are the loops that `retarget` and `geometry` ran before they were
-batched: an interior lookup per sample point of a bone segment, an OBJ
+batched: a bucketing of triangles into voxel columns one face and one column
+at a time, an interior lookup per sample point of a bone segment, an OBJ
 reader that converts every line as it reads it, and an f-string writer per
 vertex and face. The batched code must give bit-identical results and
 byte-identical files, and raise the same errors.
@@ -10,6 +11,20 @@ byte-identical files, and raise the same errors.
 import numpy as np
 
 from animrig.geometry import MeshFormatError, TriMesh, UnsupportedTopologyError
+
+
+def reference_column_buckets(tri2d, origin, voxel, dims):
+    """{(j, k): face ids} of the (y, z) voxel columns each triangle's bbox covers."""
+    ylo = np.floor((tri2d[:, :, 0].min(axis=1) - origin[1]) / voxel).astype(int)
+    yhi = np.floor((tri2d[:, :, 0].max(axis=1) - origin[1]) / voxel).astype(int)
+    zlo = np.floor((tri2d[:, :, 1].min(axis=1) - origin[2]) / voxel).astype(int)
+    zhi = np.floor((tri2d[:, :, 1].max(axis=1) - origin[2]) / voxel).astype(int)
+    buckets = {}
+    for f in range(len(tri2d)):
+        for j in range(max(ylo[f], 0), min(yhi[f], dims[1] - 1) + 1):
+            for k in range(max(zlo[f], 0), min(zhi[f], dims[2] - 1) + 1):
+                buckets.setdefault((j, k), []).append(f)
+    return buckets
 
 
 def reference_contains(field, point):

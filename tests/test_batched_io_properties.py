@@ -1,5 +1,6 @@
-"""Property tests: batched interior lookups and mesh I/O equal the per-point
-and per-line references of loop_reference.py, bit for bit and byte for byte.
+"""Property tests: batched column bucketing, interior lookups and mesh I/O
+equal the per-face, per-point and per-line references of loop_reference.py,
+bit for bit and byte for byte.
 
 Needs hypothesis (the "test" extra); the examples are drawn by the
 derandomized profile that conftest.py loads.
@@ -14,8 +15,13 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from animrig.geometry import TriMesh, load_mesh, save_mesh  # noqa: E402
-from animrig.retarget import InteriorField, _segment_exit_fractions  # noqa: E402
+from animrig.retarget import (  # noqa: E402
+    InteriorField,
+    _column_buckets,
+    _segment_exit_fractions,
+)
 from loop_reference import (  # noqa: E402
+    reference_column_buckets,
     reference_contains,
     reference_exit_fraction,
     reference_load_mesh,
@@ -26,6 +32,28 @@ from loop_reference import (  # noqa: E402
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("batched_io")
+
+
+# --- column bucketing -----------------------------------------------------------
+
+
+@given(seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
+def test_column_buckets_match_per_face_reference(seed, dyadic):
+    """Triangles inside, across and outside a small grid, some degenerate; with
+    dyadic coordinates many corners sit exactly on column boundaries."""
+    rng = np.random.default_rng(seed)
+    dims = np.array([1, *rng.integers(1, 7, 2)])
+    origin, voxel = rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.1, 1.0))
+    corners = rng.uniform(-2.0, dims + 2.0, (int(rng.integers(0, 30)), 3, 3))
+    if dyadic:
+        origin, voxel, corners = np.round(origin * 4) / 4, 0.25, np.round(corners * 2) / 2
+    point = rng.random(len(corners)) < 0.2
+    corners[point, 1:] = corners[point, :1]
+    tri2d = (origin + corners * voxel)[:, :, 1:]
+    buckets = _column_buckets(tri2d, origin, voxel, dims)
+    assert [(j, k) for j, k, _ in buckets] == sorted((j, k) for j, k, _ in buckets)
+    got = {(j, k): ids.tolist() for j, k, ids in buckets}
+    assert got == reference_column_buckets(tri2d, origin, voxel, dims)
 
 
 # --- interior lookups ----------------------------------------------------------

@@ -552,6 +552,18 @@ class TestFitMotion:
         assert [row["stop_reason"] for row in data["frames"]] == ["converged"] * 4
         assert data["totals"]["unconverged_frames"] == []
 
+    def test_exact_fit_counts_as_converged(self, rig):
+        """A frame fitted down to rounding level stops converged, not no-descent."""
+        mesh, skel, w = rig
+        gt = smooth_clip(np.random.default_rng(4), skel.num_bones, 3)
+        supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)][:1]
+        cfg = FitConfig(lambda_local=1, lambda_lap=0, lambda_rigid=0, max_iters=200,
+                        convergence_tol=1e-10)
+        _, report = fit_motion(mesh, skel, w, supervision, cfg, supervision_weights=[w])
+        data = report.to_dict()
+        assert data["frames"][0]["glc"] < 1e-20
+        assert data["totals"]["unconverged_frames"] == []
+
     def test_budget_stop_is_reported(self, rig):
         mesh, skel, w = rig
         gt = smooth_clip(np.random.default_rng(1), skel.num_bones, 2)

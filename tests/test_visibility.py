@@ -12,10 +12,15 @@ import numpy as np
 
 from animrig.geometry import TriMesh
 from animrig.skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, posed_joints
-from animrig.skinning import ellipsoids_from_skeleton, gaussian_skinning, nearest_visible_bones
+from animrig.skinning import (
+    ellipsoids_from_skeleton,
+    gaussian_skinning,
+    nearest_visible_bones,
+    point_segment_distances,
+)
 from motionutil import deform_clip
 from shapes import limb_rig
-from visibility_oracle import CASES, oracle_nearest_visible_bones
+from visibility_oracle import CASES, _ray_blocked, oracle_nearest_visible_bones
 
 
 def test_cases_exercise_occlusion_and_ties():
@@ -30,6 +35,21 @@ def test_cases_exercise_occlusion_and_ties():
             blocked += int(np.any(seen != blind))
             tied += int(np.any((seen > 0) & (seen < 1)))
     assert blocked and tied
+
+
+def test_incident_cases_have_hits_at_the_ray_vertex():
+    """The incident family has rays that only a face at their own vertex would block."""
+    hidden = 0
+    for seed in range(5):
+        vertices, faces, skeleton = CASES["incident"](np.random.default_rng(seed))
+        _, closest = point_segment_distances(
+            vertices, skeleton.joints[skeleton.bone_parent_joints],
+            skeleton.joints[skeleton.bone_joints])
+        for n in range(len(vertices)):
+            for target in closest[n]:
+                hidden += (_ray_blocked(vertices[n], target, vertices, faces, None)
+                           and not _ray_blocked(vertices[n], target, vertices, faces, n))
+    assert hidden
 
 
 def test_limb_matches_oracle(small_limb):

@@ -4,7 +4,9 @@
 the way `skinning.nearest_visible_bones` did before its grid-culled batch
 pass. CASES maps a case name to a generator rng -> (vertices, faces,
 skeleton) of meshes that exercise occlusion, open and planar meshes, faces
-spanning the bounding box, zero-length rays and exact distance ties.
+spanning the bounding box, zero-length rays, exact distance ties, rays
+crossing several shells, incident faces that would count as hits and
+determinants near the 1e-14 threshold.
 """
 
 import numpy as np
@@ -161,7 +163,51 @@ def _ties(rng):
     return vertices, faces, skeleton
 
 
+def _nested(rng):
+    """Two or three concentric closed capsules: most rays cross several shells,
+    and the batch pass often blocks a ray in one slice of pairs before it
+    tests the ray's later slices."""
+    vertices, faces = [], []
+    for radius in np.sort(rng.uniform(0.15, 0.8, size=int(rng.integers(2, 4)))):
+        mesh = make_capsule(length=3.0, radius=radius, rings=int(rng.integers(4, 9)),
+                            sides=int(rng.integers(6, 11)), cap_rings=2)
+        faces.append(mesh.faces + sum(len(v) for v in vertices))
+        vertices.append(mesh.vertices + rng.normal(scale=0.01, size=mesh.vertices.shape))
+    skeleton = _bent_chain(rng, int(rng.integers(2, 5)), -0.2, 3.2, 0.2)
+    return np.vstack(vertices), np.vstack(faces), skeleton
+
+
+def _near_plane(rng, tilt_exponents):
+    """A sheet tilted out of its plane by 10**tilt_exponents, with bones in that
+    plane, turned by a random rotation: every ray runs almost in the plane of
+    the faces around it, so its determinant with them is tiny."""
+    sheet = make_grid(int(rng.integers(3, 8)), int(rng.integers(3, 8)), spacing=0.3)
+    vertices = sheet.vertices.copy()
+    vertices[:, :2] += rng.uniform(-0.1, 0.1, size=(len(vertices), 2))
+    vertices[:, 2] = rng.normal(scale=10.0 ** rng.uniform(*tilt_exponents), size=len(vertices))
+    joints = rng.uniform(-0.5, 2.0, size=(int(rng.integers(3, 6)), 3))
+    joints[:, 2] = 0.0
+    turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return vertices @ turn.T, sheet.faces, _chain(joints @ turn.T)
+
+
+def _incident(rng):
+    """Faces incident to a ray's vertex that Moller-Trumbore would count as hits.
+
+    A ray that starts at corner 2 of a face and runs almost in its plane gets
+    u, t and 1 - v of rounding size over a determinant near 1e-13, which pass
+    the thresholds now and then: only leaving incident faces out hides them.
+    """
+    return _near_plane(rng, (-14.0, -12.0))
+
+
+def _sliver(rng):
+    """(ray, face) pairs whose |det| lies on both sides of the 1e-14 threshold."""
+    return _near_plane(rng, (-15.5, -13.0))
+
+
 CASES = {
     "closed": _closed, "open": _open, "planar": _planar, "spanning_face": _spanning_face,
-    "vertex_on_bone": _vertex_on_bone, "ties": _ties,
+    "vertex_on_bone": _vertex_on_bone, "ties": _ties, "nested": _nested,
+    "incident": _incident, "sliver": _sliver,
 }
