@@ -41,8 +41,9 @@ from . import chamfer as ch
 from . import rotations as rot
 from .deform import blend_skin_arrays
 from .geometry import TriMesh, bbox_diagonal
-from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays, posed_joints
-from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose
+from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, fk_arrays
+# unused here, but perfbench/layertrace.py still binds fitting.heat_diffusion_skinning
+from .skinning import SkinWeights, heat_diffusion_skinning, part_decompose  # noqa: F401
 
 
 _LAMBDAS = ("lambda_global", "lambda_local", "lambda_lap", "lambda_rigid")
@@ -661,9 +662,10 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
         H, g = objective._gauss_newton(fw, matches, G)
 
 
-def _posed_copy(skeleton: Skeleton, frame: MotionFrame) -> Skeleton:
-    """Skeleton with joints moved to their posed world positions."""
-    return Skeleton(posed_joints(skeleton, frame), skeleton.parents, skeleton.names)
+def _transferred_weights(weights: SkinWeights, source_points, points) -> SkinWeights:
+    """Each point's weight row from its nearest source point (one row per source point)."""
+    _, nearest = cKDTree(source_points).query(points)
+    return SkinWeights(weights.weights[nearest])
 
 
 def surface_samples(mesh: TriMesh):
@@ -719,11 +721,12 @@ def fit_motion(
     solved once on the full objective.
     supervision_weights optionally supplies per-frame target-side skin
     weights (e.g. when the supervision carries known weights); otherwise,
-    when lambda_local > 0, each supervision mesh is heat-skinned against the
-    skeleton posed at the coarse-aligned parameters. Every supervision mesh
-    (and its weights) is checked before any frame is solved: a mesh whose
-    faces all have zero area leaves no surface to match and raises
-    ValueError naming the frame.
+    when lambda_local > 0, each supervision vertex takes the canonical weight
+    row of its nearest vertex of the coarse-aligned prediction, so both sides
+    of the part term share one labelling, whatever skinning method made the
+    canonical weights. Every supervision mesh (and its weights) is checked
+    before any frame is solved: a mesh whose faces all have zero area leaves
+    no surface to match and raises ValueError naming the frame.
     Returns (MotionClip, FitReport).
     """
     config = config or FitConfig()
@@ -769,15 +772,14 @@ def fit_motion(
             theta0 = theta_prev
         else:
             theta0 = coarse.rest_parameters()
-        # align first so heat target weights can be computed at a pose that
-        # already tracks the supervision (including its root motion)
-        theta_aligned, _, _, iterations, _ = _minimize(coarse, theta0, coarse_config)
+        # align first, so that estimated target weights come from a prediction
+        # that already tracks the supervision (including its root motion)
+        theta_aligned, X_aligned, _, iterations, _ = _minimize(coarse, theta0, coarse_config)
 
         if supervision_weights is not None:
             target_w = supervision_weights[t]
         elif config.lambda_local > 0:
-            aligned_frame = coarse.frame_from_parameters(theta_aligned)
-            target_w = heat_diffusion_skinning(target, _posed_copy(skeleton, aligned_frame))
+            target_w = _transferred_weights(weights, X_aligned, target.vertices)
         else:
             target_w = None
 

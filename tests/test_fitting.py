@@ -1,3 +1,5 @@
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from animrig.fitting import (
 )
 from animrig.geometry import TriMesh, bbox_diagonal
 from animrig.skeleton import MotionClip, MotionFrame
-from animrig.skinning import SkinWeights, heat_diffusion_skinning
+from animrig.skinning import SkinWeights, heat_diffusion_skinning, part_decompose
 from motionutil import clip_rmse, deform_clip, max_interframe_jump, smooth_clip
 from normal_equations_reference import deform_jacobian, explicit_normal_equations
 from shapes import limb_rig
@@ -657,3 +659,60 @@ class TestRootGauge:
             assert frame.bone_scales[0] == 1.0
         assert clip_rmse(deform_clip(mesh, skel, w, clip), truth) < 0.01 * diag
         assert report.to_dict()["totals"]["final_glc_max"] < 1e-4 * diag**2
+
+
+class TestEstimatedTargetWeights:
+    """Without supervision_weights, each supervision vertex takes the canonical
+    weight row of its nearest vertex of the coarse-aligned prediction."""
+
+    def test_fit_runs_no_heat_solve(self, rig, monkeypatch):
+        mesh, skel, w = rig
+        gt = smooth_clip(np.random.default_rng(2), skel.num_bones, 2)
+        supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+
+        def heat(*args, **kwargs):
+            raise AssertionError("fit_motion ran a heat solve")
+
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "animrig" and hasattr(module, "heat_diffusion_skinning"):
+                monkeypatch.setattr(module, "heat_diffusion_skinning", heat)
+                patched.append(name)
+        assert "animrig.skinning" in patched
+        clip, report = fit_motion(mesh, skel, w, supervision,
+                                  FitConfig(lambda_local=1.0, max_iters=20))
+        assert len(clip.frames) == 2
+        assert all(row["local"] > 0 for row in report.to_dict()["frames"][1:])
+
+    def test_transfer_at_the_true_pose_matches_heat_labels(self, small_limb, rng):
+        sparse, skel, sparse_w = small_limb
+        dense, dense_skel = limb_rig(rings=27, sides=13)
+        dense_w = heat_diffusion_skinning(dense, dense_skel)
+        own = part_decompose(dense_w).labels
+        clip = smooth_clip(rng, skel.num_bones, 3)
+        posed = zip(deform_clip(sparse, skel, sparse_w, clip),
+                    deform_clip(dense, dense_skel, dense_w, clip))
+        for source, target in posed:
+            moved = fitting._transferred_weights(sparse_w, source.vertices, target.vertices)
+            assert np.mean(part_decompose(moved).labels == own) >= 0.99
+
+    def test_open_supervision_scan(self, rig, rng):
+        mesh, skel, w = rig
+        # every frame lacks the far end cap: its faces and the vertices only they use
+        faces = mesh.faces[mesh.vertices[mesh.faces].mean(axis=1)[:, 0] < skel.joints[-1, 0]]
+        kept = np.unique(faces)
+        assert 0 < len(kept) < mesh.num_vertices
+        index = np.zeros(mesh.num_vertices, dtype=int)
+        index[kept] = np.arange(len(kept))
+        gt = smooth_clip(rng, skel.num_bones, 3)
+        scans = [TriMesh(d.vertices[kept], index[faces])
+                 for d in deform_clip(mesh, skel, w, gt)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clip, report = fit_motion(mesh, skel, w, scans, FitConfig())
+        assert not [c for c in caught if "no part present" in str(c.message)]
+        for frame in clip.frames:
+            assert np.all(np.isfinite(frame.root.as_flat()))
+            assert np.all(np.isfinite(frame.angles))
+            assert np.all(np.isfinite(frame.bone_scales))
+        assert report.to_dict()["totals"]["frame_count"] == 3
