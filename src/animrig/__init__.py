@@ -19,7 +19,7 @@ from .deform import (
     export_frame_meshes,
     laplacian_loss,
 )
-from .fitting import FitConfig, FitReport, FrameObjective, fit_motion
+from .fitting import FitConfig, FitReport, FitRig, FrameObjective, fit_motion
 from .geometry import (
     EmptyInputError,
     MeshFormatError,
@@ -61,6 +61,7 @@ __all__ = [
     "EmptyInputError",
     "FitConfig",
     "FitReport",
+    "FitRig",
     "FrameObjective",
     "InteriorField",
     "JointCorrespondence",

@@ -20,10 +20,9 @@ from .skinning import PartDecomposition, SkinWeights, part_decompose
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Point set in model units with an optional per-point weight column."""
+    """Point set in model units."""
 
     points: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -31,12 +30,6 @@ class PointCloud:
             raise ValueError(f"points must have shape (N, 3), got {points.shape}")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        if self.weights is not None:
-            w = np.ascontiguousarray(self.weights, dtype=np.float64)
-            if w.shape != (len(points),):
-                raise ValueError("per-point weights must match the point count")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return len(self.points)

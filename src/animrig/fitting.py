@@ -16,15 +16,17 @@ re-matches and keeps the round only if the true objective did not increase.
 Correspondences are therefore re-assigned between rounds, not inside them.
 Each frame reports why its solve stopped: converged, budget or no-descent.
 
-FrameObjective holds only a frame's constants (target trees, skin basis and
-its moments) and computes each forward pass, matching, loss and (H, g) afresh
-when asked. _minimize holds the solver state (the current and the round's
-theta, forward pass, matching, loss and dLoss/dX), so it decides what is
-reused and forwards each theta once.
+fit_motion builds one FitRig per fit: the parameter layout, the forward pass
+and all that depends only on the canonical mesh and its weights. Each frame's
+coarse and full FrameObjective share it, hold only the frame's target and
+lambdas, and compute each matching, loss and (H, g) afresh when asked.
+_minimize holds the solver state (the current and the round's theta, forward
+pass, matching, loss and dLoss/dX), so it decides what is reused and forwards
+each theta once.
 
 The fit solves only identifiable parameters: when the root joint has a single
 child bone, the solver holds that bone's rotation and scale at rest and the
-root transform carries them (see FrameObjective.pinned).
+root transform carries them (see FitRig.pinned).
 """
 
 from __future__ import annotations
@@ -168,60 +170,32 @@ class _PointPairs:
     plane_normal: np.ndarray | None
 
 
-class FrameObjective:
-    """One frame's differentiable objective over (root, angles, scales).
+class FitRig:
+    """A skinned rig's fit state that no frame changes, built once per fit.
 
     Parameters pack as [root rotation vector (3), root translation (3),
-    per-bone rotation vectors (3B), bone scales (B)]. The part-level term
-    (lambda_local > 0) needs target_weights. With target_normals the global
-    term is the one-sided point-to-plane distance from the deformed vertices
-    to target_points, damped by PLANE_DAMPING; without, it is the two-sided
-    point-to-point chamfer. With prev_vertices and lambda_rigid > 0 the
-    rigidity term is the mean over edges (i, j) of
-    |(X[i] - X[j]) - (prev[i] - prev[j])|^2: linear in X, zero for a
-    translation of the whole mesh, but not for a rotation of a bone.
-
-    The deformed vertices and their Jacobian are linear in the fixed skin
-    basis S1 = [weight x homogeneous vertex, 1] (N x (4B + 1)), so the
-    objective keeps the moment S1^T S1 and the weighted sum of the
-    regularizers' constant moments, (L S1)^T (L S1) for the Laplacian and
-    (E S1)^T (E S1) for the edge differences E, for _gauss_newton. It holds
-    no other state: _minimize keeps the passes, matchings and losses it reuses.
+    per-bone rotation vectors (3B), bone scales (B)]. The deformed vertices and
+    their Jacobian are linear in the fixed skin basis
+    S1 = [weight x homogeneous vertex, 1] (N x (4B + 1)), so the rig keeps
+    S1^T S1 and the regularizers' unweighted moments, (L S1)^T (L S1) for the
+    Laplacian L and (E S1)^T (E S1) for the edge differences E.
 
     pinned masks the parameters _lm_step holds at their start value. When the
     root joint has a single child bone b, b's rotation trades off exactly
     against the root rotation and b's scale against the root translation
     along b, so b's angles and scale are pinned (at rest from
-    rest_parameters). evaluate, gradient and normal_equations still
+    rest_parameters). FrameObjective's gradient and normal_equations still
     differentiate in all 6 + 4B parameters.
     """
 
-    def __init__(
-        self,
-        canonical: TriMesh,
-        skeleton: Skeleton,
-        weights: SkinWeights,
-        target: TriMesh,
-        config: FitConfig,
-        prev_vertices=None,
-        target_weights: SkinWeights | None = None,
-        frame_index: int = 0,
-        target_points=None,
-        target_normals=None,
-    ):
+    def __init__(self, canonical: TriMesh, skeleton: Skeleton, weights: SkinWeights):
         if weights.num_vertices != canonical.num_vertices:
             raise ValueError("weights rows must match the canonical vertex count")
         if weights.num_bones != skeleton.num_bones:
             raise ValueError("weights columns must match the skeleton bone count")
-        if target.num_vertices == 0:
-            raise ValueError("supervision mesh is empty")
-        if config.lambda_local > 0 and target_weights is None:
-            raise ValueError("lambda_local > 0 needs target_weights")
         self.canonical = canonical
         self.skeleton = skeleton
         self.weights = weights
-        self.config = config
-        self.frame_index = frame_index
         self.num_bones = skeleton.num_bones
         self.num_params = 6 + 4 * self.num_bones
         self.pinned = np.zeros(self.num_params, dtype=bool)
@@ -230,28 +204,9 @@ class FrameObjective:
             b = int(lone[0])
             self.pinned[6 + 3 * b:9 + 3 * b] = True
             self.pinned[6 + 3 * self.num_bones + b] = True
-
-        self.target_points = target.vertices if target_points is None else target_points
-        self.target_normals = target_normals
-        self.target_tree = cKDTree(self.target_points)
         self.pred_parts = part_decompose(weights)
-        self.target_weights = target_weights
-        self.target_parts = part_decompose(target_weights) if target_weights is not None else None
-        # the target parts are fixed, so their trees serve every re-matching
-        self.target_part_trees = None
-        if config.lambda_local > 0:
-            self.target_part_trees = {
-                k: cKDTree(self.target_points[self.target_parts.indices_of(k)])
-                for k in self.target_parts.present_parts
-            }
-
         self.lap_op = canonical.uniform_laplacian
         self.edges = canonical.edges
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        self.prev_edge_vectors = None
-        if prev_vertices is not None and config.lambda_rigid > 0 and len(self.edges):
-            prev = np.asarray(prev_vertices)
-            self.prev_edge_vectors = prev[i] - prev[j]
 
         # weight x homogeneous canonical vertex, then a ones column, (N, 4B + 1):
         # the skinning blend is the first 4B columns times the stacked
@@ -264,16 +219,10 @@ class FrameObjective:
             np.ones((n, 1)),
         ])
         self.basis_moments = self.skin_basis.T @ self.skin_basis
-        # the Gauss-Newton blocks of the linear regularizers do not depend on theta
-        self.regularizer_moments = np.zeros_like(self.basis_moments)
-        if config.lambda_lap > 0:
-            lap_basis = self.lap_op @ self.skin_basis
-            self.regularizer_moments += (2.0 * config.lambda_lap / n) * (lap_basis.T @ lap_basis)
-        if self.prev_edge_vectors is not None:
-            edge_basis = self.skin_basis[i] - self.skin_basis[j]
-            self.regularizer_moments += (2.0 * config.lambda_rigid / len(i)) * (
-                edge_basis.T @ edge_basis
-            )
+        lap_basis = self.lap_op @ self.skin_basis
+        self.lap_moments = lap_basis.T @ lap_basis
+        edge_basis = self.skin_basis[self.edges[:, 0]] - self.skin_basis[self.edges[:, 1]]
+        self.edge_moments = edge_basis.T @ edge_basis
 
     # --- parameter packing ---------------------------------------------------
 
@@ -293,14 +242,7 @@ class FrameObjective:
 
     def frame_from_parameters(self, theta) -> MotionFrame:
         rv, t0, angles, scales = self.unpack(theta)
-        root = RigidTransform(rot.quat_from_rotation_vector(rv), t0)
-        return MotionFrame(root, angles.copy(), scales.copy())
-
-    def project(self, theta):
-        out = theta.copy()
-        lo, hi = self.config.scale_bounds
-        out[6 + 3 * self.num_bones:] = np.clip(out[6 + 3 * self.num_bones:], lo, hi)
-        return out
+        return MotionFrame(RigidTransform.from_rotation_vector(rv, t0), angles.copy(), scales.copy())
 
     # --- forward pass ---------------------------------------------------------
 
@@ -319,165 +261,6 @@ class FrameObjective:
 
     def deform(self, theta):
         return self._forward(np.asarray(theta, dtype=np.float64))["X"]
-
-    # --- matching and loss values ----------------------------------------------
-
-    def match(self, X):
-        """Nearest-neighbor correspondences of the deformed vertices X, frozen
-        as the _PointPairs record that the loss and normal equations read."""
-        cfg = self.config
-        T = self.target_points
-        n_pred = len(X)
-        plane = self.target_normals is not None
-        vertex, target, coef, grad_coef = [], [], [], []
-        plane_target = plane_normal = None
-        if cfg.lambda_global > 0:
-            # the point-to-plane metric reads only the pred -> target direction
-            m = ch.match_global(X, T, self.target_tree, two_sided=not plane)
-            if plane:
-                plane_target, plane_normal = T[m.idx_pred], self.target_normals[m.idx_pred]
-            else:
-                vertex += [np.arange(n_pred), m.idx_target]
-                target += [T[m.idx_pred], T]
-                coef += [np.full(n_pred, 1.0 / n_pred), np.full(len(T), 1.0 / len(T))]
-                grad_coef += [2.0 * cfg.lambda_global * c for c in coef]
-        n_global = sum(len(v) for v in vertex)
-        if cfg.lambda_local > 0:
-            parts = ch.match_parts(
-                X, T, self.weights, self.target_weights,
-                self.pred_parts, self.target_parts, self.target_part_trees,
-            )
-            if not parts:
-                warnings.warn(
-                    f"frame {self.frame_index}: no part present in both clouds; "
-                    "part-level chamfer is 0"
-                )
-            for pm in parts:
-                scale = 1.0 / len(parts)
-                vertex += [pm.pred_indices, pm.target_to_pred]
-                target += [T[pm.pred_to_target], T[pm.target_indices]]
-                part = [pm.pred_conf * (scale / len(pm.pred_indices)),
-                        pm.target_conf * (scale / len(pm.target_indices))]
-                coef += part
-                grad_coef += [2.0 * cfg.lambda_local * c for c in part]
-        vertex = np.concatenate(vertex + [np.zeros(0, dtype=np.intp)])
-        grad_coef = np.concatenate(grad_coef + [np.zeros(0)])
-        S1 = self.skin_basis
-        weight = np.bincount(vertex, grad_coef, minlength=n_pred)
-        moments = (S1 * weight[:, None]).T @ S1 if len(vertex) else np.zeros((S1.shape[1],) * 2)
-        return _PointPairs(
-            vertex=vertex,
-            target=np.concatenate(target + [np.zeros((0, 3))]),
-            coef=np.concatenate(coef + [np.zeros(0)]),
-            grad_coef=grad_coef,
-            n_global=n_global,
-            moments=moments,
-            plane_target=plane_target,
-            plane_normal=plane_normal,
-        )
-
-    def _loss(self, X, pairs):
-        """Loss terms and dLoss/dX for a frozen matching, each residual formed once."""
-        cfg = self.config
-        terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0}
-        G = np.zeros_like(X)
-        n_pred = len(X)
-        if len(pairs.vertex):
-            diff = X[pairs.vertex] - pairs.target
-            wd2 = pairs.coef * np.einsum("ni,ni->n", diff, diff)
-            terms["global"] = float(np.sum(wd2[:pairs.n_global]))
-            terms["local"] = float(np.sum(wd2[pairs.n_global:]))
-            scaled = pairs.grad_coef[:, None] * diff
-            for k in range(3):
-                G[:, k] = np.bincount(pairs.vertex, scaled[:, k], minlength=n_pred)
-        if pairs.plane_target is not None:
-            # damped point-to-plane: tangential sliding is cheap, not free
-            a = X - pairs.plane_target
-            n = pairs.plane_normal
-            dots = np.einsum("ni,ni->n", a, n)
-            d2 = np.einsum("ni,ni->n", a, a)
-            terms["global"] = float(np.mean(dots**2 + PLANE_DAMPING * d2))
-            G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + PLANE_DAMPING * a)
-        if cfg.lambda_lap > 0:
-            residual = self.lap_op @ X
-            terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
-            G += (2.0 * cfg.lambda_lap / n_pred) * (self.lap_op.T @ residual)
-        if self.prev_edge_vectors is not None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            r = X[i] - X[j] - self.prev_edge_vectors
-            terms["rigid"] = float(np.mean(np.einsum("ni,ni->n", r, r)))
-            contrib = (2.0 * cfg.lambda_rigid / len(r)) * r
-            for k in range(3):
-                G[:, k] += np.bincount(i, contrib[:, k], minlength=n_pred)
-                G[:, k] -= np.bincount(j, contrib[:, k], minlength=n_pred)
-        terms["glc"] = cfg.lambda_global * terms["global"] + cfg.lambda_local * terms["local"]
-        terms["total"] = (
-            terms["glc"]
-            + cfg.lambda_lap * terms["lap"]
-            + cfg.lambda_rigid * terms["rigid"]
-        )
-        if not np.isfinite(terms["total"]):
-            bad = [k for k, v in terms.items() if not np.isfinite(v)]
-            raise FitError(f"frame {self.frame_index}: non-finite loss in {bad}")
-        return terms, G
-
-    def _at(self, theta, matches):
-        """Forward pass, matching (fresh at theta when matches is None), loss
-        terms and dLoss/dX at theta."""
-        fw = self._forward(np.asarray(theta, dtype=np.float64))
-        if matches is None:
-            matches = self.match(fw["X"])
-        return (fw, matches) + self._loss(fw["X"], matches)
-
-    def evaluate(self, theta, matches=None):
-        """Objective at theta. Fresh correspondences unless matches is given."""
-        _, matches, terms, _ = self._at(theta, matches)
-        return terms["total"], terms, matches
-
-    def value(self, theta, matches=None):
-        return self.evaluate(theta, matches)[0]
-
-    # --- gradient and Gauss-Newton normal equations ------------------------------
-
-    def gradient(self, theta, matches=None):
-        """(gradient, total, matches): the exact g of normal_equations."""
-        _, g, terms, matches = self.normal_equations(theta, matches)
-        return g, terms["total"], matches
-
-    def normal_equations(self, theta, matches=None):
-        """(H, g, terms, matches) of the frozen-match objective at theta; a
-        fresh matching at theta unless matches is given (see _gauss_newton)."""
-        fw, matches, terms, G = self._at(theta, matches)
-        return self._gauss_newton(fw, matches, G) + (terms, matches)
-
-    def _gauss_newton(self, fw, pairs, G):
-        """(H, g) of a forward pass for a frozen matching, G = dLoss/dX there.
-
-        Every column of dX/dtheta is the skin basis S1 (N x (4B + 1)) times a
-        small coefficient matrix, dX = S1 A with A of shape (4B + 1, 3, P)
-        from the FK chain (_basis_tangents). So the exact gradient is
-        g = A^T vec(S1^T G), and the isotropic blocks of H = dX^T (Gauss-Newton
-        Hessian of the loss in X) dX are sum_i A_i^T K A_i for one
-        (4B + 1)-square K: the point pairs' per-vertex weights, the
-        point-to-plane damping, the Laplacian and the edge-vector rigidity
-        term enter as moments of S1 (see FrameObjective). dX itself is formed
-        only for the point-to-plane normal term.
-        """
-        A = self._basis_tangents(fw)
-        g = A.reshape(-1, self.num_params).T @ (self.skin_basis.T @ G).ravel()
-        n, P, r = len(fw["X"]), self.num_params, len(A)
-        A_rows = A.reshape(3 * r, P)
-
-        K = pairs.moments + self.regularizer_moments
-        if pairs.plane_normal is not None:
-            c = 2.0 * self.config.lambda_global / n
-            K += (c * PLANE_DAMPING) * self.basis_moments
-        H = A_rows.T @ (K @ A.reshape(r, 3 * P)).reshape(3 * r, P)
-        if pairs.plane_normal is not None:
-            dX = (self.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
-            dn = np.einsum("nip,ni->np", dX, pairs.plane_normal)
-            H += c * (dn.T @ dn)
-        return H, g
 
     def _basis_tangents(self, fw):
         """dX/dtheta of a forward pass as skin_basis @ A: returns A, (4B + 1, 3, P)."""
@@ -530,6 +313,230 @@ class FrameObjective:
         return M.reshape(4 * B, 3, 4 * B)
 
 
+class FrameObjective:
+    """One frame's differentiable objective over a FitRig's parameters.
+
+    The part-level term (lambda_local > 0) needs target_weights. With
+    target_normals the global term is the one-sided point-to-plane distance
+    from the deformed vertices to target_points, damped by PLANE_DAMPING;
+    without, it is the two-sided point-to-point chamfer. With prev_vertices and
+    lambda_rigid > 0 the rigidity term is the mean over edges (i, j) of
+    |(X[i] - X[j]) - (prev[i] - prev[j])|^2: linear in X, zero for a
+    translation of the whole mesh, but not for a rotation of a bone.
+
+    It holds only the frame's side (the target's trees and parts, the previous
+    frame's edge vectors and regularizer_moments, the rig's moments weighted by
+    the lambdas); _minimize keeps the passes, matchings and losses it reuses.
+    """
+
+    def __init__(
+        self,
+        rig: FitRig,
+        config: FitConfig,
+        target_points,
+        target_normals=None,
+        target_weights: SkinWeights | None = None,
+        prev_vertices=None,
+        frame_index: int = 0,
+    ):
+        if len(target_points) == 0:
+            raise ValueError("supervision point set is empty")
+        if config.lambda_local > 0 and target_weights is None:
+            raise ValueError("lambda_local > 0 needs target_weights")
+        self.rig = rig
+        self.config = config
+        self.frame_index = frame_index
+        self.target_points = target_points
+        self.target_normals = target_normals
+        self.target_tree = cKDTree(target_points)
+        self.target_weights = target_weights
+        self.target_parts = part_decompose(target_weights) if target_weights is not None else None
+        # the target parts are fixed, so their trees serve every re-matching
+        self.target_part_trees = None
+        if config.lambda_local > 0:
+            self.target_part_trees = {
+                k: cKDTree(target_points[self.target_parts.indices_of(k)])
+                for k in self.target_parts.present_parts
+            }
+
+        edges = rig.edges
+        self.prev_edge_vectors = None
+        if prev_vertices is not None and config.lambda_rigid > 0 and len(edges):
+            prev = np.asarray(prev_vertices)
+            self.prev_edge_vectors = prev[edges[:, 0]] - prev[edges[:, 1]]
+
+        # the Gauss-Newton blocks of the linear regularizers do not depend on theta
+        self.regularizer_moments = np.zeros_like(rig.basis_moments)
+        if config.lambda_lap > 0:
+            scale = 2.0 * config.lambda_lap / rig.canonical.num_vertices
+            self.regularizer_moments += scale * rig.lap_moments
+        if self.prev_edge_vectors is not None:
+            self.regularizer_moments += (2.0 * config.lambda_rigid / len(edges)) * rig.edge_moments
+
+    def project(self, theta):
+        out = theta.copy()
+        lo, hi = self.config.scale_bounds
+        out[6 + 3 * self.rig.num_bones:] = np.clip(out[6 + 3 * self.rig.num_bones:], lo, hi)
+        return out
+
+    # --- matching and loss values ----------------------------------------------
+
+    def match(self, X):
+        """Nearest-neighbor correspondences of the deformed vertices X, frozen
+        as the _PointPairs record that the loss and normal equations read."""
+        cfg = self.config
+        T = self.target_points
+        n_pred = len(X)
+        plane = self.target_normals is not None
+        vertex, target, coef, grad_coef = [], [], [], []
+        plane_target = plane_normal = None
+        if cfg.lambda_global > 0:
+            # the point-to-plane metric reads only the pred -> target direction
+            m = ch.match_global(X, T, self.target_tree, two_sided=not plane)
+            if plane:
+                plane_target, plane_normal = T[m.idx_pred], self.target_normals[m.idx_pred]
+            else:
+                vertex += [np.arange(n_pred), m.idx_target]
+                target += [T[m.idx_pred], T]
+                coef += [np.full(n_pred, 1.0 / n_pred), np.full(len(T), 1.0 / len(T))]
+                grad_coef += [2.0 * cfg.lambda_global * c for c in coef]
+        n_global = sum(len(v) for v in vertex)
+        if cfg.lambda_local > 0:
+            parts = ch.match_parts(
+                X, T, self.rig.weights, self.target_weights,
+                self.rig.pred_parts, self.target_parts, self.target_part_trees,
+            )
+            if not parts:
+                warnings.warn(
+                    f"frame {self.frame_index}: no part present in both clouds; "
+                    "part-level chamfer is 0"
+                )
+            for pm in parts:
+                scale = 1.0 / len(parts)
+                vertex += [pm.pred_indices, pm.target_to_pred]
+                target += [T[pm.pred_to_target], T[pm.target_indices]]
+                part = [pm.pred_conf * (scale / len(pm.pred_indices)),
+                        pm.target_conf * (scale / len(pm.target_indices))]
+                coef += part
+                grad_coef += [2.0 * cfg.lambda_local * c for c in part]
+        vertex = np.concatenate(vertex + [np.zeros(0, dtype=np.intp)])
+        grad_coef = np.concatenate(grad_coef + [np.zeros(0)])
+        S1 = self.rig.skin_basis
+        weight = np.bincount(vertex, grad_coef, minlength=n_pred)
+        moments = (S1 * weight[:, None]).T @ S1 if len(vertex) else np.zeros((S1.shape[1],) * 2)
+        return _PointPairs(
+            vertex=vertex,
+            target=np.concatenate(target + [np.zeros((0, 3))]),
+            coef=np.concatenate(coef + [np.zeros(0)]),
+            grad_coef=grad_coef,
+            n_global=n_global,
+            moments=moments,
+            plane_target=plane_target,
+            plane_normal=plane_normal,
+        )
+
+    def _loss(self, X, pairs):
+        """Loss terms and dLoss/dX for a frozen matching, each residual formed once."""
+        cfg = self.config
+        terms = {"global": 0.0, "local": 0.0, "lap": 0.0, "rigid": 0.0}
+        G = np.zeros_like(X)
+        n_pred = len(X)
+        if len(pairs.vertex):
+            diff = X[pairs.vertex] - pairs.target
+            wd2 = pairs.coef * np.einsum("ni,ni->n", diff, diff)
+            terms["global"] = float(np.sum(wd2[:pairs.n_global]))
+            terms["local"] = float(np.sum(wd2[pairs.n_global:]))
+            scaled = pairs.grad_coef[:, None] * diff
+            for k in range(3):
+                G[:, k] = np.bincount(pairs.vertex, scaled[:, k], minlength=n_pred)
+        if pairs.plane_target is not None:
+            # damped point-to-plane: tangential sliding is cheap, not free
+            a = X - pairs.plane_target
+            n = pairs.plane_normal
+            dots = np.einsum("ni,ni->n", a, n)
+            d2 = np.einsum("ni,ni->n", a, a)
+            terms["global"] = float(np.mean(dots**2 + PLANE_DAMPING * d2))
+            G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + PLANE_DAMPING * a)
+        if cfg.lambda_lap > 0:
+            residual = self.rig.lap_op @ X
+            terms["lap"] = float(np.mean(np.einsum("ni,ni->n", residual, residual)))
+            G += (2.0 * cfg.lambda_lap / n_pred) * (self.rig.lap_op.T @ residual)
+        if self.prev_edge_vectors is not None:
+            i, j = self.rig.edges[:, 0], self.rig.edges[:, 1]
+            r = X[i] - X[j] - self.prev_edge_vectors
+            terms["rigid"] = float(np.mean(np.einsum("ni,ni->n", r, r)))
+            contrib = (2.0 * cfg.lambda_rigid / len(r)) * r
+            for k in range(3):
+                G[:, k] += np.bincount(i, contrib[:, k], minlength=n_pred)
+                G[:, k] -= np.bincount(j, contrib[:, k], minlength=n_pred)
+        terms["glc"] = cfg.lambda_global * terms["global"] + cfg.lambda_local * terms["local"]
+        terms["total"] = (
+            terms["glc"]
+            + cfg.lambda_lap * terms["lap"]
+            + cfg.lambda_rigid * terms["rigid"]
+        )
+        if not np.isfinite(terms["total"]):
+            bad = [k for k, v in terms.items() if not np.isfinite(v)]
+            raise FitError(f"frame {self.frame_index}: non-finite loss in {bad}")
+        return terms, G
+
+    def _at(self, theta, matches):
+        """Forward pass, matching (fresh at theta when matches is None), loss
+        terms and dLoss/dX at theta."""
+        fw = self.rig._forward(np.asarray(theta, dtype=np.float64))
+        if matches is None:
+            matches = self.match(fw["X"])
+        return (fw, matches) + self._loss(fw["X"], matches)
+
+    def evaluate(self, theta, matches=None):
+        """Objective at theta. Fresh correspondences unless matches is given."""
+        _, matches, terms, _ = self._at(theta, matches)
+        return terms["total"], terms, matches
+
+    # --- gradient and Gauss-Newton normal equations ------------------------------
+
+    def gradient(self, theta, matches=None):
+        """(gradient, total, matches): the exact g of normal_equations."""
+        _, g, terms, matches = self.normal_equations(theta, matches)
+        return g, terms["total"], matches
+
+    def normal_equations(self, theta, matches=None):
+        """(H, g, terms, matches) of the frozen-match objective at theta; a
+        fresh matching at theta unless matches is given (see _gauss_newton)."""
+        fw, matches, terms, G = self._at(theta, matches)
+        return self._gauss_newton(fw, matches, G) + (terms, matches)
+
+    def _gauss_newton(self, fw, pairs, G):
+        """(H, g) of a forward pass for a frozen matching, G = dLoss/dX there.
+
+        Every column of dX/dtheta is the skin basis S1 (N x (4B + 1)) times a
+        small coefficient matrix, dX = S1 A with A of shape (4B + 1, 3, P)
+        from the FK chain (FitRig._basis_tangents). So the exact gradient is
+        g = A^T vec(S1^T G), and the isotropic blocks of H = dX^T (Gauss-Newton
+        Hessian of the loss in X) dX are sum_i A_i^T K A_i for one
+        (4B + 1)-square K: the point pairs' per-vertex weights, the
+        point-to-plane damping, the Laplacian and the edge-vector rigidity
+        term enter as moments of S1 (see FitRig). dX itself is formed
+        only for the point-to-plane normal term.
+        """
+        rig = self.rig
+        A = rig._basis_tangents(fw)
+        g = A.reshape(-1, rig.num_params).T @ (rig.skin_basis.T @ G).ravel()
+        n, P, r = len(fw["X"]), rig.num_params, len(A)
+        A_rows = A.reshape(3 * r, P)
+
+        K = pairs.moments + self.regularizer_moments
+        if pairs.plane_normal is not None:
+            c = 2.0 * self.config.lambda_global / n
+            K += (c * PLANE_DAMPING) * rig.basis_moments
+        H = A_rows.T @ (K @ A.reshape(r, 3 * P)).reshape(3 * r, P)
+        if pairs.plane_normal is not None:
+            dX = (rig.skin_basis @ A.reshape(r, 3 * P)).reshape(n, 3, P)
+            dn = np.einsum("nip,ni->np", dX, pairs.plane_normal)
+            H += c * (dn.T @ dn)
+        return H, g
+
+
 # LM steps taken on one frozen matching before re-matching
 STEPS_PER_MATCH = 2
 # Marquardt damping mu of (H + mu diag(H)) step = -g: its start, its floor and
@@ -556,13 +563,13 @@ def _exact_fit_floor(objective: FrameObjective):
 def _lm_step(objective: FrameObjective, theta, H, g, damping):
     """Solve the damped normal equations for one step from theta.
 
-    The pinned parameters (FrameObjective.pinned) and a bone scale at a bound
+    The pinned parameters (FitRig.pinned) and a bone scale at a bound
     that the gradient pushes against are held fixed: the step leaves them
     exactly as they are and the other parameters are solved for without them.
     """
-    s = 6 + 3 * objective.num_bones
+    s = 6 + 3 * objective.rig.num_bones
     lo, hi = objective.config.scale_bounds
-    free = ~objective.pinned
+    free = ~objective.rig.pinned
     free[s:] &= ~(((theta[s:] <= lo) & (g[s:] > 0)) | ((theta[s:] >= hi) & (g[s:] < 0)))
     Hf = H[np.ix_(free, free)]
     diag = np.diag(Hf)
@@ -606,7 +613,7 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     tol = config.convergence_tol
     floor = _exact_fit_floor(objective)
     theta = objective.project(np.asarray(theta0, dtype=np.float64))
-    fw = objective._forward(theta)
+    fw = objective.rig._forward(theta)
     matches = objective.match(fw["X"])
     terms, G = objective._loss(fw["X"], matches)
     H, g = objective._gauss_newton(fw, matches, G)
@@ -632,7 +639,7 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
             theta_t = objective.project(theta_r + _lm_step(objective, theta_r, H_r, g_r, damping))
             f_t = f_r
             if theta_t.tobytes() != theta_r.tobytes():
-                fw_t = objective._forward(theta_t)
+                fw_t = objective.rig._forward(theta_t)
                 terms_t, G_t = objective._loss(fw_t["X"], matches)
                 f_t = terms_t["total"]
             if f_t >= f_r:
@@ -751,6 +758,7 @@ def fit_motion(
                     f"the frame needs {mesh.num_vertices}x{skeleton.num_bones}"
                 )
 
+    rig = FitRig(canonical, skeleton, weights)
     coarse_config = replace(config, lambda_local=0.0, lambda_lap=0.0, lambda_rigid=0.0,
                             max_iters=max(config.max_iters // 2, 1))
     report = FitReport()
@@ -761,17 +769,14 @@ def fit_motion(
     for t, target in enumerate(supervision):
         start = time.perf_counter()
         sample_points, sample_normals = surface_samples(target)
-        coarse = FrameObjective(
-            canonical, skeleton, weights, target, coarse_config,
-            frame_index=t, target_points=sample_points, target_normals=sample_normals,
-        )
+        coarse = FrameObjective(rig, coarse_config, sample_points, sample_normals, frame_index=t)
         if theta_prev2 is not None:
             # linear motion prediction halves the warm-start offset
             theta0 = coarse.project(2.0 * theta_prev - theta_prev2)
         elif theta_prev is not None:
             theta0 = theta_prev
         else:
-            theta0 = coarse.rest_parameters()
+            theta0 = rig.rest_parameters()
         # align first, so that estimated target weights come from a prediction
         # that already tracks the supervision (including its root motion)
         theta_aligned, X_aligned, _, iterations, _ = _minimize(coarse, theta0, coarse_config)
@@ -784,12 +789,12 @@ def fit_motion(
             target_w = None
 
         objective = FrameObjective(
-            canonical, skeleton, weights, target, config,
-            prev_vertices=prev_vertices, target_weights=target_w, frame_index=t,
+            rig, config, target.vertices, target_weights=target_w,
+            prev_vertices=prev_vertices, frame_index=t,
         )
         theta, X, terms, used, stop_reason = _minimize(objective, theta_aligned, config)
         iterations += used
-        frames.append(objective.frame_from_parameters(theta))
+        frames.append(rig.frame_from_parameters(theta))
         prev_vertices = X
         theta_prev2 = theta_prev
         theta_prev = theta

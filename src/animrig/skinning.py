@@ -471,7 +471,7 @@ def _blocked_rays(vertices, faces, grid, table, targets):
     return blocked
 
 
-def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True):
+def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton):
     """Per-vertex anchor assignment to the nearest unoccluded bone segment.
 
     Returns (anchors (N, B), dist (N,)): anchors holds 1 at each vertex's
@@ -506,7 +506,7 @@ def nearest_visible_bones(mesh: TriMesh, skeleton: Skeleton, use_visibility=True
     n_verts, n_bones = len(vertices), skeleton.num_bones
     dist = np.empty((n_verts, n_bones))
     open_ = np.ones((n_verts, n_bones), dtype=bool)
-    test_rays = use_visibility and len(faces) > 0
+    test_rays = len(faces) > 0
     grid = _face_grid(vertices, faces) if test_rays else None
     table = _face_table(vertices, faces) if test_rays else None
     for b in range(n_bones):  # one bone at a time: no (N, B, 3) array is formed

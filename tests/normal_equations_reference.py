@@ -13,21 +13,21 @@ import numpy as np
 from animrig.fitting import PLANE_DAMPING
 
 
-def deform_jacobian(obj, fw):
-    """Forward-mode dX/dtheta of a forward pass, as (N, 3, P): skin_basis @ A."""
-    A = obj._basis_tangents(fw)
-    return (obj.skin_basis @ A.reshape(len(A), -1)).reshape(len(fw["X"]), 3, obj.num_params)
+def deform_jacobian(rig, fw):
+    """Forward-mode dX/dtheta of a FitRig's forward pass, as (N, 3, P): skin_basis @ A."""
+    A = rig._basis_tangents(fw)
+    return (rig.skin_basis @ A.reshape(len(A), -1)).reshape(len(fw["X"]), 3, rig.num_params)
 
 
 def explicit_normal_equations(obj, theta, matches):
     """(H, g) of obj at theta for the frozen matches (the record of obj.match),
     from the explicit dX."""
-    cfg = obj.config
-    fw = obj._forward(np.array(theta, dtype=np.float64))
+    cfg, rig = obj.config, obj.rig
+    fw = rig._forward(np.array(theta, dtype=np.float64))
     X = fw["X"]
     _, G = obj._loss(X, matches)
-    dX = deform_jacobian(obj, fw)
-    n, P = len(X), obj.num_params
+    dX = deform_jacobian(rig, fw)
+    n, P = len(X), rig.num_params
     D = dX.reshape(3 * n, P)
     g = D.T @ G.ravel()
 
@@ -40,10 +40,10 @@ def explicit_normal_equations(obj, theta, matches):
         H += c * (dn.T @ dn)
     H += D.T @ (np.repeat(weight, 3)[:, None] * D)
     if cfg.lambda_lap > 0:
-        LD = (obj.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
+        LD = (rig.lap_op @ dX.reshape(n, 3 * P)).reshape(3 * n, P)
         H += (2.0 * cfg.lambda_lap / n) * (LD.T @ LD)
     if cfg.lambda_rigid > 0 and obj.prev_edge_vectors is not None:
-        i, j = obj.edges[:, 0], obj.edges[:, 1]
+        i, j = rig.edges[:, 0], rig.edges[:, 1]
         dE = (dX[i] - dX[j]).reshape(3 * len(i), P)
         H += (2.0 * cfg.lambda_rigid / len(i)) * (dE.T @ dE)
     return H, g

@@ -13,7 +13,7 @@ import pytest
 from animrig.chamfer import chamfer_global, chamfer_local
 from animrig.cli import PipelineConfig, run_pipeline
 from animrig.deform import blend_skin
-from animrig.fitting import FitConfig, FrameObjective, fit_motion
+from animrig.fitting import FitConfig, FitRig, FrameObjective, fit_motion
 from animrig.geometry import bbox_diagonal, save_mesh
 from animrig.retarget import JointCorrespondence, build_interior_field, embed_skeleton, transfer_motion
 from animrig.skeleton import forward_kinematics, save_skeleton
@@ -86,7 +86,7 @@ def test_criterion_2_gradient_correctness(small_limb):
         lambda_global=1.0, lambda_local=1.0,
         lambda_lap=0.4, lambda_rigid=0.6,
     )
-    helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+    helper = FitRig(mesh, skel, w)
     b = skel.num_bones
 
     def random_theta():
@@ -103,7 +103,7 @@ def test_criterion_2_gradient_correctness(small_limb):
         target = mesh.with_vertices(helper.deform(random_theta()))
         prev = helper.deform(random_theta())
         obj = FrameObjective(
-            mesh, skel, w, target, cfg,
+            helper, cfg, target.vertices,
             prev_vertices=prev, target_weights=w, frame_index=1,
         )
         theta = random_theta()
@@ -114,7 +114,7 @@ def test_criterion_2_gradient_correctness(small_limb):
             tp[i] += h
             tm = theta.copy()
             tm[i] -= h
-            fd = (obj.value(tp, matches) - obj.value(tm, matches)) / (2 * h)
+            fd = (obj.evaluate(tp, matches)[0] - obj.evaluate(tm, matches)[0]) / (2 * h)
             worst = max(worst, abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8))
     elapsed = time.perf_counter() - start
     assert worst < 1e-3

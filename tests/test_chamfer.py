@@ -184,7 +184,3 @@ class TestPointCloud:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((3, 2)))
-
-    def test_weight_length_validation(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((3, 3)), weights=np.ones(2))

@@ -9,6 +9,7 @@ from animrig import fitting
 from animrig.fitting import (
     FitConfig,
     FitError,
+    FitRig,
     FrameObjective,
     _minimize,
     fit_motion,
@@ -22,9 +23,9 @@ from normal_equations_reference import deform_jacobian, explicit_normal_equation
 from shapes import limb_rig
 
 
-def random_theta(obj, rng, angle_deg=25.0):
-    theta = obj.rest_parameters()
-    b = obj.num_bones
+def random_theta(rig, rng, angle_deg=25.0):
+    theta = rig.rest_parameters()
+    b = rig.num_bones
     theta[:3] = rng.uniform(-0.3, 0.3, 3)
     theta[3:6] = rng.uniform(-0.3, 0.3, 3)
     theta[6:6 + 3 * b] = rng.uniform(-np.deg2rad(angle_deg), np.deg2rad(angle_deg), 3 * b)
@@ -75,11 +76,42 @@ class TestFitConfig:
         assert cfg.to_dict() == FitConfig(max_iters=77, lambda_rigid=0.3).to_dict()
 
 
+class TestFitRig:
+    """The rig's frame-independent state is checked and built once per fit."""
+
+    def test_weights_must_match_mesh_and_skeleton(self, rig):
+        mesh, skel, w = rig
+        n, b = w.weights.shape
+        short_rows = SkinWeights(w.weights[:-1])
+        short_columns = SkinWeights(np.full((n, b - 1), 1.0 / (b - 1)))
+        for bad, what in ((short_rows, "rows"), (short_columns, "columns")):
+            with pytest.raises(ValueError, match=f"weights {what} must match"):
+                FitRig(mesh, skel, bad)
+            with pytest.raises(ValueError, match=f"weights {what} must match"):
+                fit_motion(mesh, skel, bad, [mesh], FitConfig(max_iters=5))
+
+    def test_fit_decomposes_the_canonical_weights_once(self, rig, monkeypatch):
+        mesh, skel, w = rig
+        gt = smooth_clip(np.random.default_rng(2), skel.num_bones, 3)
+        supervision = [d.as_mesh() for d in deform_clip(mesh, skel, w, gt)]
+        canonical_calls = []
+        decompose = fitting.part_decompose
+
+        def counted(weights):
+            canonical_calls.append(weights is w)
+            return decompose(weights)
+
+        monkeypatch.setattr(fitting, "part_decompose", counted)
+        clip, _ = fit_motion(mesh, skel, w, supervision, FitConfig(max_iters=20))
+        assert len(clip.frames) == 3
+        assert sum(canonical_calls) == 1
+
+
 class TestObjectiveGradient:
     def test_local_term_needs_target_weights(self, rig):
         mesh, skel, w = rig
         with pytest.raises(ValueError):
-            FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=1.0))
+            FrameObjective(FitRig(mesh, skel, w), FitConfig(lambda_local=1.0), mesh.vertices)
 
     def test_matches_finite_differences(self, rig, rng):
         mesh, skel, w = rig
@@ -87,17 +119,17 @@ class TestObjectiveGradient:
             lambda_global=1.0, lambda_local=1.0,
             lambda_lap=0.5, lambda_rigid=0.7,
         )
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         worst = 0.0
         for _ in range(4):
             target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
             prev = helper.deform(random_theta(helper, rng))
             tw = heat_diffusion_skinning(target, skel)
             obj = FrameObjective(
-                mesh, skel, w, target, cfg,
+                helper, cfg, target.vertices,
                 prev_vertices=prev, target_weights=tw, frame_index=1,
             )
-            theta = random_theta(obj, rng)
+            theta = random_theta(helper, rng)
             grad, _, matches = obj.gradient(theta)
             for i in range(len(theta)):
                 h = 1e-5 * max(1.0, abs(theta[i]))
@@ -105,7 +137,7 @@ class TestObjectiveGradient:
                 tp[i] += h
                 tm = theta.copy()
                 tm[i] -= h
-                fd = (obj.value(tp, matches) - obj.value(tm, matches)) / (2 * h)
+                fd = (obj.evaluate(tp, matches)[0] - obj.evaluate(tm, matches)[0]) / (2 * h)
                 denom = max(abs(grad[i]), abs(fd), 1e-8)
                 worst = max(worst, abs(grad[i] - fd) / denom)
         assert worst < 1e-3
@@ -113,10 +145,10 @@ class TestObjectiveGradient:
     def test_stationary_at_perfect_fit(self, rig, rng):
         mesh, skel, w = rig
         cfg = FitConfig(lambda_local=1.0, lambda_lap=0, lambda_rigid=0)
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         theta_star = random_theta(helper, rng)
         target = mesh.with_vertices(helper.deform(theta_star))
-        obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w, frame_index=1)
+        obj = FrameObjective(helper, cfg, target.vertices, target_weights=w, frame_index=1)
         grad, _, _ = obj.gradient(theta_star)
         assert np.linalg.norm(grad) < 1e-6
 
@@ -126,22 +158,19 @@ class TestObjectiveGradient:
             lambda_global=0.0, lambda_local=0.0,
             lambda_lap=0.0, lambda_rigid=0.0,
         )
-        obj = FrameObjective(mesh, skel, w, mesh, cfg, frame_index=1)
-        grad, value, _ = obj.gradient(random_theta(obj, rng))
+        obj = FrameObjective(FitRig(mesh, skel, w), cfg, mesh.vertices, frame_index=1)
+        grad, value, _ = obj.gradient(random_theta(obj.rig, rng))
         assert value == 0.0
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_one_sided_point_to_plane_gradient(self, rig, rng):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
         cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
-        obj = FrameObjective(
-            mesh, skel, w, target, cfg,
-            target_points=pts, target_normals=normals, frame_index=1,
-        )
-        theta = random_theta(obj, rng)
+        obj = FrameObjective(helper, cfg, pts, normals, frame_index=1)
+        theta = random_theta(helper, rng)
         grad, _, matches = obj.gradient(theta)
         for i in range(0, len(theta), 3):
             h = 1e-5 * max(1.0, abs(theta[i]))
@@ -149,26 +178,23 @@ class TestObjectiveGradient:
             tp[i] += h
             tm = theta.copy()
             tm[i] -= h
-            fd = (obj.value(tp, matches) - obj.value(tm, matches)) / (2 * h)
+            fd = (obj.evaluate(tp, matches)[0] - obj.evaluate(tm, matches)[0]) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8) < 1e-3
 
     def test_gradient_total_equals_evaluate(self, rig, rng):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
-        plane = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_local=0),
-            target_points=pts, target_normals=normals, frame_index=1,
-        )
+        plane = FrameObjective(helper, FitConfig(lambda_local=0), pts, normals, frame_index=1)
         regularized = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
+            helper, FitConfig(lambda_lap=0.5, lambda_rigid=0.7), target.vertices,
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
         )
         for obj in (plane, regularized):
-            theta = random_theta(obj, rng)
-            matches = obj.match(obj.deform(random_theta(obj, rng)))
+            theta = random_theta(helper, rng)
+            matches = obj.match(helper.deform(random_theta(helper, rng)))
             _, total, _ = obj.gradient(theta, matches)
             value, terms, _ = obj.evaluate(theta, matches)
             assert total == value
@@ -178,11 +204,11 @@ class TestObjectiveGradient:
         # edge lengths do not change under a rigid motion; edge vectors do
         # under a rotation, by 2 (1 - cos phi) |e_perp|^2 for each edge e
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         theta0 = helper.rest_parameters()
         theta0[6:6 + 3 * skel.num_bones] = np.tile([0.1, -0.2, 0.3], skel.num_bones)
         prev = helper.deform(theta0)
-        obj = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0),
+        obj = FrameObjective(helper, FitConfig(lambda_local=0), mesh.vertices,
                              prev_vertices=prev, frame_index=1)
         shifted = theta0.copy()
         shifted[3:6] += [0.3, -0.1, 0.2]
@@ -205,15 +231,15 @@ class TestNormalEquations:
     @pytest.mark.parametrize("angle", [0.5, 5e-5])
     def test_deform_jacobian_matches_central_differences(self, rig, rng, angle):
         mesh, skel, w = rig
-        obj = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
-        b = obj.num_bones
-        theta = obj.rest_parameters()
+        rig = FitRig(mesh, skel, w)
+        b = rig.num_bones
+        theta = rig.rest_parameters()
         theta[:3] = [0.4, -0.7, 0.3]  # root away from the identity
         theta[3:6] = [0.1, 0.2, -0.3]
         # angle 5e-5 keeps every bone below the 1e-4 rad series branch
         theta[6:6 + 3 * b] = rng.uniform(-angle, angle, 3 * b) / np.sqrt(3)
         theta[6 + 3 * b:] = rng.uniform(0.9, 1.1, b)
-        dX = deform_jacobian(obj, obj._forward(theta))
+        dX = deform_jacobian(rig, rig._forward(theta))
         assert dX.shape == (mesh.num_vertices, 3, len(theta))
         worst = 0.0
         for i in range(len(theta)):
@@ -222,26 +248,23 @@ class TestNormalEquations:
             tp[i] += h
             tm = theta.copy()
             tm[i] -= h
-            fd = (obj.deform(tp) - obj.deform(tm)) / (2 * h)
+            fd = (rig.deform(tp) - rig.deform(tm)) / (2 * h)
             worst = max(worst, np.abs(dX[:, :, i] - fd).max() / np.abs(fd).max())
         assert worst < 1e-7
 
     def test_assembled_gradient_equals_gradient(self, rig, rng):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
-        plane = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_local=0),
-            target_points=pts, target_normals=normals, frame_index=1,
-        )
+        plane = FrameObjective(helper, FitConfig(lambda_local=0), pts, normals, frame_index=1)
         regularized = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
+            helper, FitConfig(lambda_lap=0.5, lambda_rigid=0.7), target.vertices,
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=heat_diffusion_skinning(target, skel), frame_index=0,
         )
         for obj in (plane, regularized):
-            theta = random_theta(obj, rng)
+            theta = random_theta(helper, rng)
             H, g, terms, matches = obj.normal_equations(theta)
             grad, total, _ = obj.gradient(theta, matches)
             assert np.abs(g - grad).max() <= 1e-10 * np.abs(grad).max()
@@ -251,11 +274,11 @@ class TestNormalEquations:
     def test_hessian_is_exact_where_residuals_vanish(self, rig, rng):
         # with every residual zero the Gauss-Newton matrix is the true Hessian
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         theta = random_theta(helper, rng)
         posed = helper.deform(theta)
         cfg = FitConfig(lambda_lap=0, lambda_rigid=0.7)
-        obj = FrameObjective(mesh, skel, w, mesh.with_vertices(posed), cfg,
+        obj = FrameObjective(helper, cfg, posed,
                              prev_vertices=posed, target_weights=w, frame_index=1)
         H, _, terms, matches = obj.normal_equations(theta)
         assert terms["total"] < 1e-24
@@ -272,16 +295,15 @@ class TestNormalEquations:
     @staticmethod
     def posed_objectives(mesh, skel, w, rng, target_weights=None):
         """A coarse point-to-plane objective and a fully regularized one."""
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         pts, normals = surface_samples(target)
         coarse_cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
-        plane = FrameObjective(mesh, skel, w, target, coarse_cfg, frame_index=1,
-                               target_points=pts, target_normals=normals)
+        plane = FrameObjective(helper, coarse_cfg, pts, normals, frame_index=1)
         if target_weights is None:
             target_weights = heat_diffusion_skinning(target, skel)
         full = FrameObjective(
-            mesh, skel, w, target, FitConfig(lambda_lap=0.5, lambda_rigid=0.7),
+            helper, FitConfig(lambda_lap=0.5, lambda_rigid=0.7), target.vertices,
             prev_vertices=helper.deform(random_theta(helper, rng)),
             target_weights=target_weights, frame_index=1,
         )
@@ -301,14 +323,14 @@ class TestNormalEquations:
         plane, full = self.posed_objectives(mesh, skel, w, rng)
         obj = plane if kind == "plane" else full
         for _ in range(2):
-            self.assert_matches_explicit(obj, random_theta(obj, rng))
+            self.assert_matches_explicit(obj, random_theta(obj.rig, rng))
 
     def test_moment_assembly_single_bone(self, rng):
         mesh, skel = limb_rig(num_bones=1, rings=10, sides=8)
         w = heat_diffusion_skinning(mesh, skel)
         assert skel.num_bones == 1
         for obj in self.posed_objectives(mesh, skel, w, rng):
-            self.assert_matches_explicit(obj, random_theta(obj, rng))
+            self.assert_matches_explicit(obj, random_theta(obj.rig, rng))
 
     def test_moment_assembly_with_loose_weight_rows(self, rig, rng):
         # rows that sum to 1 only within the 1e-6 SkinWeights accepts: the
@@ -317,8 +339,8 @@ class TestNormalEquations:
         loose = SkinWeights(w.weights * (1.0 + rng.uniform(-9e-7, 9e-7, (len(w.weights), 1))))
         assert np.abs(loose.weights.sum(axis=1) - 1.0).max() > 5e-7
         for obj in self.posed_objectives(mesh, skel, loose, rng, target_weights=loose):
-            theta = random_theta(obj, rng)
-            dX = deform_jacobian(obj, obj._forward(theta))
+            theta = random_theta(obj.rig, rng)
+            dX = deform_jacobian(obj.rig, obj.rig._forward(theta))
             assert np.array_equal(dX[:, :, 3:6], np.broadcast_to(np.eye(3), dX[:, :, 3:6].shape))
             H, H_ref = self.assert_matches_explicit(obj, theta)
             block = H_ref[3:6, 3:6]
@@ -336,20 +358,19 @@ class TestObjectiveReuse:
     @classmethod
     def frame_objective(cls, rig, kind):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(cls.TARGET_POSE))
         if kind == "plane":
             pts, normals = surface_samples(target)
             cfg = FitConfig(lambda_local=0, lambda_lap=0, lambda_rigid=0)
-            return FrameObjective(mesh, skel, w, target, cfg, frame_index=1,
-                                  target_points=pts, target_normals=normals)
-        return FrameObjective(mesh, skel, w, target, FitConfig(), prev_vertices=mesh.vertices,
+            return FrameObjective(helper, cfg, pts, normals, frame_index=1)
+        return FrameObjective(helper, FitConfig(), target.vertices, prev_vertices=mesh.vertices,
                               target_weights=w, frame_index=1)
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_minimize_forwards_each_theta_once(self, rig, kind, monkeypatch):
         forwards, passes, losses, rematches, steps = [], [], [], [], []
-        forward, loss, lm_step = FrameObjective._forward, FrameObjective._loss, fitting._lm_step
+        forward, loss, lm_step = FitRig._forward, FrameObjective._loss, fitting._lm_step
 
         def counted_forward(self, theta):
             forwards.append(theta.tobytes())
@@ -379,10 +400,10 @@ class TestObjectiveReuse:
             return 100.0 * step if len(steps) == 2 else step
 
         monkeypatch.setattr(obj, "match", counted_match)
-        monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
+        monkeypatch.setattr(FitRig, "_forward", counted_forward)
         monkeypatch.setattr(FrameObjective, "_loss", counted_loss)
         monkeypatch.setattr(fitting, "_lm_step", overshooting_step)
-        _minimize(obj, obj.rest_parameters(), replace(obj.config, max_iters=60))
+        _minimize(obj, obj.rig.rest_parameters(), replace(obj.config, max_iters=60))
         assert len(forwards) > 20
         assert len(set(forwards)) == len(forwards)
         keys = [(made, id(m)) for made, m in losses]
@@ -392,7 +413,7 @@ class TestObjectiveReuse:
 
     def test_step_that_rounds_to_nothing_is_not_forwarded(self, rig, monkeypatch):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         pose = helper.rest_parameters()
         pose[6:6 + 3 * helper.num_bones] = 0.4
         pose[6 + 3 * helper.num_bones:] = 0.7
@@ -401,9 +422,9 @@ class TestObjectiveReuse:
         # rejected step at a damping too small to change it, and forward the
         # same theta twice
         cfg = FitConfig(convergence_tol=0, lambda_lap=0, lambda_rigid=0, max_iters=8)
-        obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w)
+        obj = FrameObjective(helper, cfg, target.vertices, target_weights=w)
         forwards, null_steps = [], []
-        forward, lm_step = FrameObjective._forward, fitting._lm_step
+        forward, lm_step = FitRig._forward, fitting._lm_step
 
         def counted_forward(self, theta):
             forwards.append(theta.tobytes())
@@ -417,26 +438,26 @@ class TestObjectiveReuse:
             null_steps.append(objective.project(theta + step).tobytes() == theta.tobytes())
             return step
 
-        monkeypatch.setattr(FrameObjective, "_forward", counted_forward)
+        monkeypatch.setattr(FitRig, "_forward", counted_forward)
         monkeypatch.setattr(fitting, "_lm_step", watched_step)
-        _minimize(obj, obj.rest_parameters(), cfg)
+        _minimize(obj, helper.rest_parameters(), cfg)
         assert any(null_steps)
         assert len(set(forwards)) == len(forwards)
 
     @pytest.mark.parametrize("kind", ["plane", "full"])
     def test_cache_follows_theta_and_matching(self, rig, rng, kind):
         obj = self.frame_objective(rig, kind)
-        theta = random_theta(obj, rng, angle_deg=10.0)
+        theta = random_theta(obj.rig, rng, angle_deg=10.0)
         _, _, own = obj.evaluate(theta)
-        other = obj.match(obj.deform(random_theta(obj, rng, angle_deg=10.0)))
+        other = obj.match(obj.rig.deform(random_theta(obj.rig, rng, angle_deg=10.0)))
         obj.normal_equations(theta, own)
         theta[7] += 0.05  # in place: same array object, new values
         values = []
         for matches in (own, other):
             fresh = self.frame_objective(rig, kind)
-            assert np.array_equal(obj.deform(theta), fresh.deform(theta))
-            value = obj.value(theta, matches)
-            assert value == fresh.value(theta, matches)
+            assert np.array_equal(obj.rig.deform(theta), fresh.rig.deform(theta))
+            value = obj.evaluate(theta, matches)[0]
+            assert value == fresh.evaluate(theta, matches)[0]
             H, g, terms, _ = obj.normal_equations(theta, matches)
             H_new, g_new, terms_new, _ = fresh.normal_equations(theta, matches)
             assert np.array_equal(H, H_new) and np.array_equal(g, g_new)
@@ -465,13 +486,13 @@ class TestFitMotion:
 
     def test_monotone_objective_over_accepted_rounds(self, rig, rng):
         mesh, skel, w = rig
-        helper = FrameObjective(mesh, skel, w, mesh, FitConfig(lambda_local=0))
+        helper = FitRig(mesh, skel, w)
         target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
         cfg = FitConfig(lambda_local=1.0, lambda_lap=0.1, lambda_rigid=0,
                         max_iters=150)
-        obj = FrameObjective(mesh, skel, w, target, cfg, target_weights=w, frame_index=1)
+        obj = FrameObjective(helper, cfg, target.vertices, target_weights=w, frame_index=1)
         history = []
-        _minimize(obj, obj.rest_parameters(), cfg, history=history)
+        _minimize(obj, helper.rest_parameters(), cfg, history=history)
         assert len(history) >= 2
         assert all(b <= a for a, b in zip(history[:-1], history[1:]))
 

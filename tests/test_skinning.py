@@ -18,6 +18,7 @@ from animrig.skinning import (
     weights_to_dict,
 )
 from shapes import chain_skeleton, limb_rig, make_capsule
+from visibility_oracle import oracle_nearest_visible_bones
 
 
 def isotropic_bones(centers, sigma=1.0):
@@ -196,8 +197,8 @@ class TestHeatDiffusion:
             ]
         )
         skel = Skeleton(joints, [-1, 0, 1, 2, 3])
-        anchors_vis, d_vis = nearest_visible_bones(mesh, skel, use_visibility=True)
-        anchors_no, d_no = nearest_visible_bones(mesh, skel, use_visibility=False)
+        anchors_vis, d_vis = nearest_visible_bones(mesh, skel)
+        anchors_no, d_no = oracle_nearest_visible_bones(mesh, skel, use_visibility=False)
         assert anchors_no[0, 0] == 1.0       # euclidean-nearest is the occluded bone
         assert abs(d_no[0] - 2.0) < 1e-12
         assert anchors_vis[0, 0] == 0.0      # visibility reassigns it

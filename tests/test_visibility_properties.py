@@ -25,13 +25,3 @@ def test_matches_per_ray_oracle(kind, seed):
     want_anchors, want_dist = oracle_nearest_visible_bones(mesh, skeleton)
     assert np.array_equal(anchors, want_anchors)
     assert np.array_equal(dist, want_dist)
-
-
-@given(kind=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2**32 - 1))
-def test_without_visibility_matches_oracle(kind, seed):
-    vertices, faces, skeleton = CASES[kind](np.random.default_rng(seed))
-    mesh = TriMesh(vertices, faces)
-    anchors, dist = nearest_visible_bones(mesh, skeleton, use_visibility=False)
-    want_anchors, want_dist = oracle_nearest_visible_bones(mesh, skeleton, use_visibility=False)
-    assert np.array_equal(anchors, want_anchors)
-    assert np.array_equal(dist, want_dist)
