@@ -77,11 +77,11 @@ class PipelineConfig:
     retarget_target_skeleton: str | None = None
     retarget_correspondence: str | None = None
     retarget_embed_resolution: int | None = None
-    retarget_scale_root: bool = True
 
     @classmethod
     def from_dict(cls, data):
-        """Keys it does not read, such as the deleted "seed", are ignored."""
+        """Keys it does not read, such as the deleted "seed" and
+        "retarget.scale_root_translation", are ignored."""
         retarget = data.get("retarget", {})
         return cls(
             canonical_mesh=data["canonical_mesh"],
@@ -95,7 +95,6 @@ class PipelineConfig:
             retarget_target_skeleton=retarget.get("target_skeleton"),
             retarget_correspondence=retarget.get("correspondence"),
             retarget_embed_resolution=retarget.get("embed_resolution"),
-            retarget_scale_root=bool(retarget.get("scale_root_translation", True)),
         )
 
     @classmethod
@@ -112,6 +111,13 @@ def _supervision_paths(directory):
         n for n in os.listdir(directory) if n.lower().endswith(".obj")
     )
     return [os.path.join(directory, n) for n in names]
+
+
+def _correspondence(path, reference: Skeleton) -> JointCorrespondence:
+    """The correspondence file at path, or else the identity on reference's joints."""
+    if path is not None:
+        return load_correspondence(path)
+    return JointCorrespondence.identity(reference.num_joints)
 
 
 def validate_assets(config: PipelineConfig):
@@ -193,13 +199,17 @@ def _check_assets(config: PipelineConfig):
             diagnostics.append(
                 "retarget needs either a target skeleton or an embed resolution"
             )
-        if (
-            config.retarget_correspondence is not None
-            and skeleton is not None
-            and target_skel is not None
+        elif (
+            not isinstance(config.retarget_embed_resolution, int)
+            or config.retarget_embed_resolution < 8
         ):
+            diagnostics.append(
+                "retarget embed resolution must be an integer >= 8: "
+                f"{config.retarget_embed_resolution!r}"
+            )
+        if skeleton is not None and target_skel is not None:
             try:
-                corr = load_correspondence(config.retarget_correspondence)
+                corr = _correspondence(config.retarget_correspondence, skeleton)
                 diagnostics.extend(
                     f"correspondence: {msg}"
                     for msg in check_correspondence(corr, skeleton, target_skel)
@@ -290,15 +300,11 @@ def run_pipeline(config: PipelineConfig) -> int:
                 field_ = build_interior_field(target_mesh, config.retarget_embed_resolution)
                 target_skel = embed_skeleton(target_mesh, skeleton, field_)
                 save_skeleton(target_skel, os.path.join(work, "embedded_skeleton.json"))
-            if config.retarget_correspondence is not None:
-                corr = load_correspondence(config.retarget_correspondence)
-            else:
-                corr = JointCorrespondence.identity(skeleton.num_joints)
+            corr = _correspondence(config.retarget_correspondence, skeleton)
             target_weights = heat_diffusion_skinning(target_mesh, target_skel)
             save_weights(target_weights, os.path.join(work, "target_weights.json"))
             retargeted = transfer_motion(
-                clip, skeleton, target_skel, corr, target_mesh, target_weights,
-                scale_root_translation=config.retarget_scale_root,
+                clip, skeleton, target_skel, corr, target_mesh, target_weights
             )
             export_frame_meshes(retargeted, os.path.join(work, "retarget"))
             timing["retarget_s"] = time.perf_counter() - started
@@ -380,21 +386,14 @@ def _cmd_retarget(args):
             print("either --target-skel or --embed is required", file=sys.stderr)
             return EXIT_VALIDATION
         target_skel = load_skeleton(args.target_skel)
-    corr = (
-        load_correspondence(args.map)
-        if args.map
-        else JointCorrespondence.identity(reference.num_joints)
-    )
+    corr = _correspondence(args.map, reference)
     issues = check_correspondence(corr, reference, target_skel)
     if issues:
         for msg in issues:
             print(f"correspondence: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
     weights = load_weights(args.weights)
-    frames = transfer_motion(
-        clip, reference, target_skel, corr, target_mesh, weights,
-        scale_root_translation=not args.no_root_scaling,
-    )
+    frames = transfer_motion(clip, reference, target_skel, corr, target_mesh, weights)
     paths = export_frame_meshes(frames, args.out)
     if args.embed:
         save_skeleton(target_skel, os.path.join(args.out, "embedded_skeleton.json"))
@@ -472,7 +471,6 @@ def build_parser():
     p.add_argument("--weights", required=True, help="target-mesh skin weights JSON")
     p.add_argument("--embed", action="store_true", help="embed the reference skeleton instead")
     p.add_argument("--resolution", type=int, default=48, help="embedding voxel resolution")
-    p.add_argument("--no-root-scaling", action="store_true")
     p.add_argument("--out", required=True, help="output directory for frame meshes")
     p.set_defaults(func=_cmd_retarget)
 

@@ -252,7 +252,7 @@ class FitRig:
         blended = blend_skin_arrays(
             self.canonical.vertices, self.weights.weights, R_world, t_world
         )
-        R0 = rot.rotation_matrix(rv)
+        R0 = rot.rotation_matrices(rv)
         return {
             "rv": rv, "angles": angles, "scales": scales,
             "R_local": R_local, "R_world": R_world, "t_world": t_world, "t_local": t_local,
@@ -350,10 +350,10 @@ class FrameObjective:
         self.target_normals = target_normals
         self.target_tree = cKDTree(target_points)
         self.target_weights = target_weights
-        self.target_parts = part_decompose(target_weights) if target_weights is not None else None
         # the target parts are fixed, so their trees serve every re-matching
-        self.target_part_trees = None
+        self.target_parts = self.target_part_trees = None
         if config.lambda_local > 0:
+            self.target_parts = part_decompose(target_weights)
             self.target_part_trees = {
                 k: cKDTree(target_points[self.target_parts.indices_of(k)])
                 for k in self.target_parts.present_parts

@@ -372,7 +372,6 @@ def transfer_motion(
     correspondence: JointCorrespondence,
     target_mesh: TriMesh,
     target_weights: SkinWeights,
-    scale_root_translation: bool = True,
 ):
     """Retarget a clip onto a target rig; returns one DeformedMesh per frame.
 
@@ -391,12 +390,8 @@ def transfer_motion(
     if issues:
         raise CorrespondenceError("; ".join(issues))
 
-    if scale_root_translation:
-        ref_height = reference.height()
-        tgt_height = target_skeleton.height()
-        height_ratio = tgt_height / ref_height if ref_height > 1e-12 else 1.0
-    else:
-        height_ratio = 1.0
+    ref_height = reference.height()
+    height_ratio = target_skeleton.height() / ref_height if ref_height > 1e-12 else 1.0
 
     bone_map = {}  # target bone -> reference bone
     for r, t in correspondence.pairs:

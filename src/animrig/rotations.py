@@ -75,75 +75,33 @@ def rotation_matrices(rotvecs):
     return R[0] if single else R
 
 
-def rotation_matrix(rotvec):
-    return rotation_matrices(np.asarray(rotvec, dtype=np.float64))
+def rotation_matrix_derivatives(rotvecs, rotations):
+    """Forward-mode Rodrigues derivative: dR/dv_c as (K, 3, 3, 3), indexed [k, c, i, j].
+
+    rotvecs are (K, 3) and rotations their (K, 3, 3) matrices. Uses the closed
+    form of Gallego & Yezzi (J. Math. Imaging Vis. 2015),
+    dR/dv_c = (v_c [v]x + [v x (I - R) e_c]x) R / |v|^2; below 1e-4 radians the
+    second-order series [e_c]x + ([e_c]x [v]x + [v]x [e_c]x) / 2 keeps it smooth.
+    """
+    v = np.asarray(rotvecs, dtype=np.float64)
+    R = np.asarray(rotations, dtype=np.float64)
+    theta2 = np.einsum("ki,ki->k", v, v)
+    small = (theta2 < 1e-8)[:, None, None, None]
+    V = skew(v)[:, None]
+    E = skew(np.eye(3))
+    series = E + 0.5 * (E @ V + V @ E)
+    # row c of (I - R)^T is (I - R) e_c
+    u = np.cross(v[:, None], np.eye(3) - R.transpose(0, 2, 1))
+    closed = (v[:, :, None, None] * V + skew(u)) @ R[:, None]
+    return np.where(small, series, closed / np.where(small, 1.0, theta2[:, None, None, None]))
 
 
 def rotation_vector_gradient(grads, rotvecs, rotations):
-    """Pull a loss gradient back through the Rodrigues map.
-
-    Given dL/dR as (..., 3, 3), the rotation vectors q as (..., 3) and their
-    matrices rotation_matrices(q) as (..., 3, 3), returns dL/dq as (..., 3).
-    Uses the closed-form derivative of the exponential map; below 1e-4
-    radians a second-order series keeps the result smooth.
-    """
-    grads = np.asarray(grads, dtype=np.float64)
-    rotvecs = np.asarray(rotvecs, dtype=np.float64)
-    rotations = np.asarray(rotations, dtype=np.float64)
-    single = rotvecs.ndim == 1
-    G = grads if grads.ndim == 3 else grads[None]
-    R = rotations if rotations.ndim == 3 else rotations[None]
-    q = np.atleast_2d(rotvecs)
-
-    theta2 = np.einsum("bi,bi->b", q, q)
-    out = np.zeros_like(q)
-
-    small = theta2 < 1e-8  # theta < 1e-4
-    if np.any(~small):
-        idx = ~small
-        Gl, ql, Rl = G[idx], q[idx], R[idx]
-        H = np.einsum("bij,bkj->bik", Gl, Rl)  # G R^T
-        h = np.stack(
-            [
-                H[:, 2, 1] - H[:, 1, 2],
-                H[:, 0, 2] - H[:, 2, 0],
-                H[:, 1, 0] - H[:, 0, 1],
-            ],
-            axis=1,
-        )
-        hq = np.einsum("bi,bi->b", h, ql)
-        I_minus_R = np.eye(3) - Rl
-        hxq = np.cross(h, ql)
-        out[idx] = (ql * hq[:, None] + np.einsum("bji,bj->bi", I_minus_R, hxq)) / theta2[
-            idx, None
-        ]
-    if np.any(small):
-        idx = small
-        Gl, ql = G[idx], q[idx]
-        g = np.stack(
-            [
-                Gl[:, 2, 1] - Gl[:, 1, 2],
-                Gl[:, 0, 2] - Gl[:, 2, 0],
-                Gl[:, 1, 0] - Gl[:, 0, 1],
-            ],
-            axis=1,
-        )
-        sym = Gl + np.transpose(Gl, (0, 2, 1))
-        trace = np.einsum("bii->b", Gl)
-        out[idx] = g + 0.5 * np.einsum("bij,bj->bi", sym, ql) - trace[:, None] * ql
+    """Pull dL/dR, (3, 3) or (K, 3, 3), back to dL/dv_c = sum_ij dL/dR_ij dR_ij/dv_c
+    for rotation vectors v, (3,) or (K, 3), and their matrices rotation_matrices(v)."""
+    # no fit path calls this, but perfbench/layertrace.py still binds
+    # rotations.rotation_vector_gradient
+    single = np.ndim(rotvecs) == 1
+    dR = rotation_matrix_derivatives(np.reshape(rotvecs, (-1, 3)), np.reshape(rotations, (-1, 3, 3)))
+    out = np.einsum("kij,kcij->kc", np.reshape(grads, (-1, 3, 3)), dR)
     return out[0] if single else out
-
-
-def rotation_matrix_derivatives(rotvecs, rotations):
-    """Forward-mode Rodrigues derivative: dR/dq_c as (K, 3, 3, 3), indexed [k, c, i, j].
-
-    rotvecs are (K, 3) and rotations their (K, 3, 3) matrices. Since
-    rotation_vector_gradient is the adjoint of this map, pulling back each of
-    the 9 basis matrices E_ij gives dR_ij/dq in one batched call.
-    """
-    K = len(rotvecs)
-    basis = np.broadcast_to(np.eye(9).reshape(1, 9, 3, 3), (K, 9, 3, 3)).reshape(-1, 3, 3)
-    d = rotation_vector_gradient(
-        basis, np.repeat(rotvecs, 9, axis=0), np.repeat(rotations, 9, axis=0)
-    )
-    return d.reshape(K, 3, 3, 3).transpose(0, 3, 1, 2)

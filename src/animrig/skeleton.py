@@ -174,18 +174,6 @@ class Skeleton:
         """Bone index whose child is the given non-root joint."""
         return self._bone_of_joint[int(joint_index)]
 
-    def subtree_bones(self, bone_index):
-        """Bone indices in the subtree rooted at bone_index (inclusive)."""
-        out = {int(bone_index)}
-        changed = True
-        while changed:
-            changed = False
-            for b in range(self.num_bones):
-                if b not in out and int(self.bone_parent_bones[b]) in out:
-                    out.add(b)
-                    changed = True
-        return sorted(out)
-
     def height(self):
         """Longest root-to-leaf sum of rest bone lengths."""
         best = 0.0

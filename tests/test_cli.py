@@ -9,7 +9,7 @@ from animrig.geometry import save_mesh
 from animrig.skeleton import save_skeleton
 from animrig.skinning import load_weights, save_weights
 from motionutil import deform_clip, smooth_clip
-from shapes import limb_rig
+from shapes import chain_skeleton, limb_rig
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,27 @@ class TestValidate:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 2
+
+    def test_short_target_skeleton_without_correspondence(self, assets, tmp_path, capsys):
+        # the 4-joint limb's identity correspondence names target joint 3
+        target = tmp_path / "target_skeleton.json"
+        save_skeleton(chain_skeleton(3), str(target))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["retarget"] = {"target_mesh": assets["mesh"], "target_skeleton": str(target)}
+        diags = validate_assets(PipelineConfig.from_dict(cfg))
+        assert "correspondence: target joint 3 out of range" in diags
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "target joint 3 out of range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("resolution", [4, 16.5, "48"])
+    def test_bad_embed_resolution(self, assets, tmp_path, resolution):
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["retarget"] = {"target_mesh": assets["mesh"], "embed_resolution": resolution}
+        diags = validate_assets(PipelineConfig.from_dict(cfg))
+        assert diags == [f"retarget embed resolution must be an integer >= 8: {resolution!r}"]
 
     def test_unknown_skinning_method_exits_2(self, assets, tmp_path, capsys):
         cfg = pipeline_config_dict(assets, tmp_path / "out")

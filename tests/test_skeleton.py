@@ -90,11 +90,6 @@ class TestSkeleton:
         skel = Skeleton(joints, [-1, 0, 1, 0])
         assert abs(skel.height() - 3.0) < 1e-12
 
-    def test_subtree(self):
-        skel = chain_skeleton(4)
-        assert skel.subtree_bones(0) == [0, 1, 2]
-        assert skel.subtree_bones(2) == [2]
-
 
 class TestMotionFrame:
     def test_dimension_check(self):
