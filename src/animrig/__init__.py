@@ -6,19 +6,8 @@ chamfer losses, per-frame motion fitting against a supervising mesh sequence,
 and training-free cross-skeleton motion retargeting.
 """
 
-from .chamfer import (
-    PointCloud,
-    chamfer_global,
-    chamfer_local,
-    global_local_chamfer,
-)
-from .deform import (
-    DeformedMesh,
-    blend_skin,
-    dynamic_rigidity_loss,
-    export_frame_meshes,
-    laplacian_loss,
-)
+from .chamfer import chamfer_global, chamfer_local
+from .deform import DeformedMesh, blend_skin, export_frame_meshes
 from .fitting import FitConfig, FitReport, FitRig, FrameObjective, fit_motion
 from .geometry import (
     EmptyInputError,
@@ -69,7 +58,6 @@ __all__ = [
     "MotionClip",
     "MotionFrame",
     "PartDecomposition",
-    "PointCloud",
     "RigidTransform",
     "Skeleton",
     "SkinWeights",
@@ -80,15 +68,12 @@ __all__ = [
     "build_interior_field",
     "chamfer_global",
     "chamfer_local",
-    "dynamic_rigidity_loss",
     "embed_skeleton",
     "export_frame_meshes",
     "fit_motion",
     "forward_kinematics",
     "gaussian_skinning",
-    "global_local_chamfer",
     "heat_diffusion_skinning",
-    "laplacian_loss",
     "load_mesh",
     "part_decompose",
     "posed_joints",

@@ -2,8 +2,9 @@
 
 Nearest neighbors come from an exact KD-tree; the test suite holds these
 implementations to an O(N^2) brute-force oracle at 1e-9 relative error, so no
-approximate search is allowed here. The part-level term weights each matched
-pair by the product of the two endpoints' skinning confidence for that part.
+approximate search is allowed here. match_parts builds the part-level term for
+both the fit and eval-chamfer: a PartPairs list of frozen pairs, each weighted
+by the product of the two endpoints' skinning confidence for the part.
 """
 
 from __future__ import annotations
@@ -18,32 +19,6 @@ from .geometry import EmptyInputError
 from .skinning import PartDecomposition, SkinWeights, part_decompose
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Point set in model units."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def as_points(obj) -> np.ndarray:
-    """Accept PointCloud, TriMesh/DeformedMesh, or a raw (N, 3) array."""
-    if isinstance(obj, PointCloud):
-        return obj.points
-    if hasattr(obj, "vertices"):
-        return np.asarray(obj.vertices, dtype=np.float64)
-    return np.ascontiguousarray(obj, dtype=np.float64)
-
-
 @dataclass
 class GlobalMatch:
     """Frozen nearest-neighbor pairing between two clouds, both directions
@@ -55,24 +30,24 @@ class GlobalMatch:
     idx_target: np.ndarray | None  # matched pred index, per target point
 
 
-@dataclass
-class PartMatch:
-    """Frozen per-part pairing with confidence factors at the matched pairs."""
+@dataclass(frozen=True)
+class PartPairs:
+    """Frozen per-part pairings; the part-level chamfer is
+    sum coef * |pred[pred_index] - target[target_index]|^2.
 
-    part: int
-    pred_indices: np.ndarray
-    pred_to_target: np.ndarray   # target indices matched by each pred-part point
-    pred_conf: np.ndarray        # confidence per pred-direction pair
-    target_indices: np.ndarray
-    target_to_pred: np.ndarray   # pred indices matched by each target-part point
-    target_conf: np.ndarray
+    Within each part present in both clouds, in ascending part order, the
+    pred -> target pairs come first, then the target -> pred pairs.
+    """
+
+    pred_index: np.ndarray
+    target_index: np.ndarray
+    coef: np.ndarray  # confidence product / (num_parts * size of the pair's side of the part)
+    num_parts: int    # parts present in both clouds
 
 
 def match_global(pred_points, target_points, target_tree=None, two_sided=True) -> GlobalMatch:
     """Nearest-neighbor pairing; two_sided=False skips the target-to-pred
     direction, leaving d2_target and idx_target None."""
-    pred_points = as_points(pred_points)
-    target_points = as_points(target_points)
     if len(pred_points) == 0 or len(target_points) == 0:
         raise EmptyInputError("chamfer distance of an empty point cloud")
     if target_tree is None:
@@ -98,13 +73,11 @@ def match_parts(
     pred_parts: PartDecomposition | None = None,
     target_parts: PartDecomposition | None = None,
     target_trees=None,
-):
+) -> PartPairs:
     """Per-part nearest-neighbor pairings over parts present in both clouds.
 
     target_trees optionally maps each present target part to a KD-tree of
     its points, for callers that match one target many times."""
-    pred_points = as_points(pred_points)
-    target_points = as_points(target_points)
     if pred_weights.num_vertices != len(pred_points):
         raise ValueError("pred weights rows must match the pred cloud size")
     if target_weights.num_vertices != len(target_points):
@@ -116,46 +89,33 @@ def match_parts(
     if target_parts is None:
         target_parts = part_decompose(target_weights)
     common = np.intersect1d(pred_parts.present_parts, target_parts.present_parts)
-    matches = []
+    wp, wt = pred_weights.weights, target_weights.weights
+    scale = 1.0 / max(len(common), 1)
+    pred_index, target_index, coef = [], [], []
     for k in common:
         pi = pred_parts.indices_of(k)
         ti = target_parts.indices_of(k)
-        pk = pred_points[pi]
-        tk = target_points[ti]
+        pk, tk = pred_points[pi], target_points[ti]
         tree_t = cKDTree(tk) if target_trees is None else target_trees[k]
-        tree_p = cKDTree(pk)
         _, near_t = tree_t.query(pk)
-        _, near_p = tree_p.query(tk)
+        _, near_p = cKDTree(pk).query(tk)
         p_to_t = ti[near_t]
         t_to_p = pi[near_p]
-        matches.append(
-            PartMatch(
-                part=int(k),
-                pred_indices=pi,
-                pred_to_target=p_to_t,
-                pred_conf=pred_weights.weights[pi, k] * target_weights.weights[p_to_t, k],
-                target_indices=ti,
-                target_to_pred=t_to_p,
-                target_conf=pred_weights.weights[t_to_p, k] * target_weights.weights[ti, k],
-            )
-        )
-    return matches
+        pred_index += [pi, t_to_p]
+        target_index += [p_to_t, ti]
+        coef += [wp[pi, k] * wt[p_to_t, k] * (scale / len(pi)),
+                 wp[t_to_p, k] * wt[ti, k] * (scale / len(ti))]
+    empty = [np.zeros(0, dtype=np.intp)]
+    return PartPairs(
+        np.concatenate(pred_index + empty), np.concatenate(target_index + empty),
+        np.concatenate(coef + [np.zeros(0)]), len(common),
+    )
 
 
-def part_match_value(pred_points, target_points, matches) -> float:
+def part_match_value(pred_points, target_points, pairs: PartPairs) -> float:
     """Part-level chamfer value for frozen per-part pairings."""
-    if not matches:
-        return 0.0
-    pred_points = as_points(pred_points)
-    target_points = as_points(target_points)
-    total = 0.0
-    for m in matches:
-        diff_p = pred_points[m.pred_indices] - target_points[m.pred_to_target]
-        diff_t = pred_points[m.target_to_pred] - target_points[m.target_indices]
-        d2_p = np.einsum("ni,ni->n", diff_p, diff_p)
-        d2_t = np.einsum("ni,ni->n", diff_t, diff_t)
-        total += float(np.mean(m.pred_conf * d2_p) + np.mean(m.target_conf * d2_t))
-    return total / len(matches)
+    diff = pred_points[pairs.pred_index] - target_points[pairs.target_index]
+    return float(np.einsum("n,ni,ni->", pairs.coef, diff, diff))
 
 
 def chamfer_local(
@@ -172,34 +132,11 @@ def chamfer_local(
     endpoints' weights for the part, downweighting junction vertices. Parts
     present in only one cloud are omitted; with no common part the loss is 0.
     """
-    pred_points = as_points(pred)
-    target_points = as_points(target)
-    if len(pred_points) == 0 or len(target_points) == 0:
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if len(pred) == 0 or len(target) == 0:
         raise EmptyInputError("chamfer distance of an empty point cloud")
-    matches = match_parts(
-        pred_points, target_points, pred_weights, target_weights, pred_parts, target_parts
-    )
-    if not matches:
+    pairs = match_parts(pred, target, pred_weights, target_weights, pred_parts, target_parts)
+    if not pairs.num_parts:
         warnings.warn("no part is present in both clouds; part-level chamfer is 0")
-        return 0.0
-    return part_match_value(pred_points, target_points, matches)
-
-
-def global_local_chamfer(
-    pred,
-    target,
-    pred_weights: SkinWeights,
-    target_weights: SkinWeights,
-    lambda_local: float = 1.0,
-    pred_parts: PartDecomposition | None = None,
-    target_parts: PartDecomposition | None = None,
-) -> float:
-    """chamfer_global + lambda_local * chamfer_local."""
-    if lambda_local < 0:
-        raise ValueError("lambda_local must be nonnegative")
-    value = chamfer_global(pred, target)
-    if lambda_local > 0:
-        value += lambda_local * chamfer_local(
-            pred, target, pred_weights, target_weights, pred_parts, target_parts
-        )
-    return value
+    return part_match_value(pred, target, pairs)

@@ -107,10 +107,22 @@ class PipelineConfig:
 
 
 def _supervision_paths(directory):
+    """The directory's .obj frames in name order; ValueError if it has none."""
+    if not os.path.isdir(directory):
+        raise ValueError(f"supervision directory not found: {directory}")
     names = sorted(
         n for n in os.listdir(directory) if n.lower().endswith(".obj")
     )
+    if not names:
+        raise ValueError(f"supervision directory has no .obj files: {directory}")
     return [os.path.join(directory, n) for n in names]
+
+
+def _skin(mesh, skeleton, method):
+    """Skin weights by one of SKINNING_METHODS."""
+    if method == "gaussian":
+        return gaussian_skinning(mesh, ellipsoids_from_skeleton(skeleton))
+    return heat_diffusion_skinning(mesh, skeleton)
 
 
 def _correspondence(path, reference: Skeleton) -> JointCorrespondence:
@@ -157,10 +169,10 @@ def _check_assets(config: PipelineConfig):
     if config.skinning_method not in SKINNING_METHODS:
         diagnostics.append(f"skinning method not in {SKINNING_METHODS}: {config.skinning_method!r}")
 
-    if not os.path.isdir(config.supervision_dir):
-        diagnostics.append(f"supervision directory not found: {config.supervision_dir}")
-    elif not _supervision_paths(config.supervision_dir):
-        diagnostics.append(f"supervision directory has no .obj files: {config.supervision_dir}")
+    try:
+        _supervision_paths(config.supervision_dir)
+    except ValueError as exc:
+        diagnostics.append(str(exc))
 
     if config.weights is not None:
         if not os.path.isfile(config.weights):
@@ -248,10 +260,8 @@ def run_pipeline(config: PipelineConfig) -> int:
         started = time.perf_counter()
         if config.weights is not None:
             weights = load_weights(config.weights)
-        elif config.skinning_method == "gaussian":
-            weights = gaussian_skinning(mesh, ellipsoids_from_skeleton(skeleton))
         else:
-            weights = heat_diffusion_skinning(mesh, skeleton)
+            weights = _skin(mesh, skeleton, config.skinning_method)
         save_weights(weights, os.path.join(work, "weights.json"))
         timing["skin_s"] = time.perf_counter() - started
 
@@ -338,11 +348,7 @@ def run_pipeline(config: PipelineConfig) -> int:
 
 def _cmd_skin(args):
     mesh = load_mesh(args.mesh)
-    skeleton = load_skeleton(args.skeleton)
-    if args.method == "gaussian":
-        weights = gaussian_skinning(mesh, ellipsoids_from_skeleton(skeleton))
-    else:
-        weights = heat_diffusion_skinning(mesh, skeleton)
+    weights = _skin(mesh, load_skeleton(args.skeleton), args.method)
     save_weights(weights, args.out)
     print(json.dumps({"num_vertices": weights.num_vertices, "num_bones": weights.num_bones,
                       "out": args.out}, sort_keys=True))
@@ -353,14 +359,7 @@ def _cmd_fit(args):
     mesh = load_mesh(args.canonical)
     skeleton = load_skeleton(args.skeleton)
     weights = load_weights(args.weights)
-    if not os.path.isdir(args.supervision):
-        print(f"supervision directory not found: {args.supervision}", file=sys.stderr)
-        return EXIT_VALIDATION
-    paths = _supervision_paths(args.supervision)
-    if not paths:
-        print(f"supervision directory has no .obj files: {args.supervision}", file=sys.stderr)
-        return EXIT_VALIDATION
-    supervision = [load_mesh(p) for p in paths]
+    supervision = [load_mesh(p) for p in _supervision_paths(args.supervision)]
     cfg = FitConfig()
     if args.config:
         with open(args.config) as fh:
@@ -414,6 +413,8 @@ def _cmd_fk(args):
 
 
 def _cmd_eval_chamfer(args):
+    if not (np.isfinite(args.lambda_local) and args.lambda_local >= 0):
+        raise ValueError(f"--lambda-local must be finite and nonnegative, got {args.lambda_local}")
     pred = load_mesh(args.pred)
     target = load_mesh(args.target)
     result = {"global": ch.chamfer_global(pred.vertices, target.vertices), "local": None}

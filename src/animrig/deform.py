@@ -1,8 +1,7 @@
-"""Linear blend skinning and geometric evaluation metrics.
+"""Linear blend skinning of a canonical mesh and export of posed frames.
 
-The metrics are mean-reduced so their magnitudes do not scale with mesh
-resolution: uniform-Laplacian smoothness and dynamic rigidity, the
-rigid-invariant edge-length change between frames.
+The fit's smoothness and rigidity terms live with its objective (see
+fitting.FrameObjective).
 """
 
 from __future__ import annotations
@@ -79,36 +78,6 @@ def blend_skin(
         )
     blended = blend_skin_arrays(canonical.vertices, weights.weights, R, t)
     return DeformedMesh(canonical, root.apply(blended), frame_index)
-
-
-def laplacian_loss(mesh) -> float:
-    """Mean squared uniform-Laplacian residual; isolated vertices contribute 0."""
-    if isinstance(mesh, DeformedMesh):
-        base, points = mesh.base, mesh.vertices
-    else:
-        base, points = mesh, mesh.vertices
-    residual = base.uniform_laplacian @ points
-    return float(np.mean(np.einsum("ni,ni->n", residual, residual)))
-
-
-def dynamic_rigidity_loss(curr: DeformedMesh, prev: DeformedMesh) -> float:
-    """Mean squared change in edge length between two frames of one base mesh.
-
-    An evaluation metric that vanishes whenever curr is a rigid motion of
-    prev; the fit's rigidity term is the edge-vector change (see fitting).
-    """
-    if curr.base is not prev.base and not (
-        curr.base.vertices.shape == prev.base.vertices.shape
-        and np.array_equal(curr.base.faces, prev.base.faces)
-    ):
-        raise ValueError("dynamic rigidity requires frames of the same base mesh")
-    edges = curr.base.edges
-    if not len(edges):
-        return 0.0
-    i, j = edges[:, 0], edges[:, 1]
-    len_curr = np.linalg.norm(curr.vertices[i] - curr.vertices[j], axis=1)
-    len_prev = np.linalg.norm(prev.vertices[i] - prev.vertices[j], axis=1)
-    return float(np.mean((len_curr - len_prev) ** 2))
 
 
 def export_frame_meshes(frames, out_dir):

@@ -406,19 +406,15 @@ class FrameObjective:
                 X, T, self.rig.weights, self.target_weights,
                 self.rig.pred_parts, self.target_parts, self.target_part_trees,
             )
-            if not parts:
+            if not parts.num_parts:
                 warnings.warn(
                     f"frame {self.frame_index}: no part present in both clouds; "
                     "part-level chamfer is 0"
                 )
-            for pm in parts:
-                scale = 1.0 / len(parts)
-                vertex += [pm.pred_indices, pm.target_to_pred]
-                target += [T[pm.pred_to_target], T[pm.target_indices]]
-                part = [pm.pred_conf * (scale / len(pm.pred_indices)),
-                        pm.target_conf * (scale / len(pm.target_indices))]
-                coef += part
-                grad_coef += [2.0 * cfg.lambda_local * c for c in part]
+            vertex.append(parts.pred_index)
+            target.append(T[parts.target_index])
+            coef.append(parts.coef)
+            grad_coef.append(2.0 * cfg.lambda_local * parts.coef)
         vertex = np.concatenate(vertex + [np.zeros(0, dtype=np.intp)])
         grad_coef = np.concatenate(grad_coef + [np.zeros(0)])
         S1 = self.rig.skin_basis

@@ -81,7 +81,8 @@ def rotation_matrix_derivatives(rotvecs, rotations):
     rotvecs are (K, 3) and rotations their (K, 3, 3) matrices. Uses the closed
     form of Gallego & Yezzi (J. Math. Imaging Vis. 2015),
     dR/dv_c = (v_c [v]x + [v x (I - R) e_c]x) R / |v|^2; below 1e-4 radians the
-    second-order series [e_c]x + ([e_c]x [v]x + [v]x [e_c]x) / 2 keeps it smooth.
+    series of exp([v]x) to third order keeps it smooth: with E = [e_c]x and
+    V = [v]x, E + (E V + V E) / 2 + (E V V + V E V + V V E) / 6.
     """
     v = np.asarray(rotvecs, dtype=np.float64)
     R = np.asarray(rotations, dtype=np.float64)
@@ -89,7 +90,7 @@ def rotation_matrix_derivatives(rotvecs, rotations):
     small = (theta2 < 1e-8)[:, None, None, None]
     V = skew(v)[:, None]
     E = skew(np.eye(3))
-    series = E + 0.5 * (E @ V + V @ E)
+    series = E + 0.5 * (E @ V + V @ E) + (E @ V @ V + V @ E @ V + V @ V @ E) / 6.0
     # row c of (I - R)^T is (I - R) e_c
     u = np.cross(v[:, None], np.eye(3) - R.transpose(0, 2, 1))
     closed = (v[:, :, None, None] * V + skew(u)) @ R[:, None]

@@ -1,15 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from animrig.chamfer import (
-    PointCloud,
-    chamfer_global,
-    chamfer_local,
-    global_local_chamfer,
-    match_global,
-)
+from animrig.chamfer import chamfer_global, chamfer_local, match_global
+from animrig.cli import main
 from animrig.geometry import EmptyInputError
-from animrig.skinning import SkinWeights
+from animrig.skinning import SkinWeights, save_weights
 
 
 def brute_force_global(a, b):
@@ -74,10 +71,6 @@ class TestChamferGlobal:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInputError):
             chamfer_global(np.zeros((0, 3)), np.zeros((1, 3)))
-
-    def test_accepts_point_cloud_type(self, rng):
-        a = PointCloud(rng.normal(size=(10, 3)))
-        assert chamfer_global(a, a) == 0.0
 
     def test_one_sided_match_keeps_the_pred_direction(self, rng):
         a = rng.normal(size=(70, 3))
@@ -149,19 +142,36 @@ class TestChamferLocal:
             chamfer_local(a, a, w_bad, w_bad)
 
 
+def eval_chamfer(tmp_path, capsys, pred, target, w_pred, w_target, lambda_local=1.0):
+    """eval-chamfer's JSON report for point sets and skin weights written to tmp_path."""
+    args = ["eval-chamfer", "--lambda-local", repr(lambda_local)]
+    for name, points, weights in (("pred", pred, w_pred), ("target", target, w_target)):
+        mesh_path, weights_path = tmp_path / f"{name}.obj", tmp_path / f"{name}.json"
+        mesh_path.write_text("".join("v %r %r %r\n" % tuple(p) for p in points.tolist()))
+        save_weights(weights, str(weights_path))
+        args += [f"--{name}", str(mesh_path), f"--weights-{name}", str(weights_path)]
+    assert main(args) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestGlobalLocalChamfer:
-    def test_zero_lambda_equals_global(self, rng):
+    """The combined global + lambda * local chamfer that eval-chamfer reports."""
+
+    def test_zero_lambda_equals_global(self, rng, tmp_path, capsys):
         a = rng.normal(size=(40, 3))
         b = rng.normal(size=(40, 3))
         w = SkinWeights(random_weights(rng, 40))
-        assert global_local_chamfer(a, b, w, w, lambda_local=0.0) == chamfer_global(a, b)
+        out = eval_chamfer(tmp_path, capsys, a, b, w, w, lambda_local=0.0)
+        assert out["local"] > 0.0
+        assert out["combined"] == out["global"] == chamfer_global(a, b)
 
-    def test_identical_inputs_zero(self, rng):
+    def test_identical_inputs_zero(self, rng, tmp_path, capsys):
         a = rng.normal(size=(40, 3))
         w = SkinWeights(random_weights(rng, 40))
-        assert global_local_chamfer(a, a.copy(), w, w) == 0.0
+        out = eval_chamfer(tmp_path, capsys, a, a.copy(), w, w)
+        assert out["combined"] == 0.0
 
-    def test_swap_increases_over_global(self, rng):
+    def test_swap_increases_over_global(self, rng, tmp_path, capsys):
         d = 10.0
         cluster = rng.normal(size=(20, 3)) * 0.05
         pts = np.vstack([cluster, cluster + np.array([d, 0, 0])])
@@ -170,17 +180,5 @@ class TestGlobalLocalChamfer:
         w_pred[20:, 1] = 1.0
         wp = SkinWeights(w_pred)
         wt = SkinWeights(w_pred[:, ::-1].copy())
-        combined = global_local_chamfer(pts, pts.copy(), wp, wt, lambda_local=1.0)
-        assert combined > chamfer_global(pts, pts.copy())
-
-    def test_negative_lambda_rejected(self, rng):
-        a = rng.normal(size=(5, 3))
-        w = SkinWeights(random_weights(rng, 5))
-        with pytest.raises(ValueError):
-            global_local_chamfer(a, a, w, w, lambda_local=-1.0)
-
-
-class TestPointCloud:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((3, 2)))
+        out = eval_chamfer(tmp_path, capsys, pts, pts.copy(), wp, wt, lambda_local=1.0)
+        assert out["combined"] > chamfer_global(pts, pts.copy())

@@ -118,6 +118,18 @@ class TestEvalChamfer:
         assert out["local"] == 0.0
         assert out["combined"] == 0.0
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_lambda_local_must_be_finite_and_nonnegative(self, assets, capsys, value):
+        code = main([
+            "eval-chamfer", "--pred", assets["mesh"], "--target", assets["mesh"],
+            "--weights-pred", assets["weights"], "--weights-target", assets["weights"],
+            "--lambda-local", value,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--lambda-local" in captured.err
+
 
 class TestFkCommand:
     def test_posed_joints_output(self, assets, tmp_path, capsys):
@@ -233,6 +245,15 @@ class TestFitCommand:
         ])
         assert code == 2
         assert missing in capsys.readouterr().err
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main([
+            "fit", "--canonical", assets["mesh"], "--skeleton", assets["skeleton"],
+            "--weights", assets["weights"], "--supervision", str(empty),
+            "--out", str(tmp_path / "clip.json"),
+        ])
+        assert code == 2
+        assert f"no .obj files: {empty}" in capsys.readouterr().err
 
     def test_zero_area_supervision_exits_2_naming_frame(self, assets, tmp_path, capsys):
         sup = tmp_path / "sup"

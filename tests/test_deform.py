@@ -3,18 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from animrig.deform import (
-    DeformedMesh,
-    blend_skin,
-    dynamic_rigidity_loss,
-    export_frame_meshes,
-    laplacian_loss,
-)
+from animrig.deform import DeformedMesh, blend_skin, export_frame_meshes
+from animrig.fitting import FitConfig, FitRig, FrameObjective
 from animrig.geometry import TriMesh, load_mesh
 from animrig import rotations as rot
 from animrig.skeleton import RigidTransform
 from animrig.skinning import SkinWeights
-from shapes import make_cube, make_grid, make_quad
+from shapes import chain_skeleton, make_cube, make_grid, make_quad
 
 
 def random_transform(rng):
@@ -34,6 +29,24 @@ def random_bones(rng, count):
 
 def rest_bones(count):
     return np.tile(np.eye(3), (count, 1, 1)), np.zeros((count, 3))
+
+
+def fit_terms(mesh, prev_vertices=None):
+    """The fit's loss terms for a one-bone rig on mesh at rest, where the
+    deformed vertices are exactly mesh.vertices."""
+    rig = FitRig(mesh, chain_skeleton(2), SkinWeights(np.ones((mesh.num_vertices, 1))))
+    theta = rig.rest_parameters()
+    assert np.array_equal(rig.deform(theta), mesh.vertices)
+    cfg = FitConfig(lambda_global=0, lambda_local=0, lambda_lap=1, lambda_rigid=1)
+    return FrameObjective(rig, cfg, mesh.vertices, prev_vertices=prev_vertices).evaluate(theta)[1]
+
+
+def laplacian_loss(mesh):
+    return fit_terms(mesh)["lap"]
+
+
+def rigidity_loss(curr, prev):
+    return fit_terms(curr, prev.vertices)["rigid"]
 
 
 class TestBlendSkin:
@@ -102,6 +115,8 @@ class TestBlendSkin:
 
 
 class TestLaplacianLoss:
+    """The fit's mean squared uniform-Laplacian residual."""
+
     def test_coincident_vertices_zero(self):
         mesh = TriMesh(np.zeros((3, 3)), [[0, 1, 2]])
         assert laplacian_loss(mesh) == 0.0
@@ -117,15 +132,14 @@ class TestLaplacianLoss:
         assert np.abs(residual[interior]).max() < 1e-12
 
     def test_matches_naive_computation(self, rng):
-        mesh = make_cube()
-        posed = DeformedMesh(mesh, rng.normal(size=(8, 3)))
+        mesh = make_cube().with_vertices(rng.normal(size=(8, 3)))
         total = 0.0
         for i, nbrs in enumerate(mesh.vertex_neighbors):
             if not nbrs:
                 continue
-            mean = np.mean([posed.vertices[j] for j in nbrs], axis=0)
-            total += np.sum((posed.vertices[i] - mean) ** 2)
-        assert abs(laplacian_loss(posed) - total / 8) < 1e-12
+            mean = np.mean([mesh.vertices[j] for j in nbrs], axis=0)
+            total += np.sum((mesh.vertices[i] - mean) ** 2)
+        assert abs(laplacian_loss(mesh) - total / 8) < 1e-12
 
     def test_isolated_vertices_contribute_zero(self):
         mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [9.0, 9.0, 9.0]], [[0, 1, 2]])
@@ -134,54 +148,38 @@ class TestLaplacianLoss:
 
 
 class TestDynamicRigidity:
-    def test_equal_frames_zero(self, rng):
-        mesh = make_cube()
-        v = rng.normal(size=(8, 3))
-        a = DeformedMesh(mesh, v, 1)
-        b = DeformedMesh(mesh, v.copy(), 2)
-        assert dynamic_rigidity_loss(a, b) == 0.0
+    """The fit's mean squared change of each edge vector from the previous frame."""
 
-    def test_rigid_motion_zero(self, rng):
-        mesh = make_cube()
-        t = random_transform(rng)
-        prev = DeformedMesh(mesh, mesh.vertices, 0)
-        curr = DeformedMesh(mesh, t.apply(mesh.vertices), 1)
-        assert dynamic_rigidity_loss(curr, prev) < 1e-10
+    def test_equal_frames_zero(self, rng):
+        v = rng.normal(size=(8, 3))
+        a = make_cube().with_vertices(v)
+        b = make_cube().with_vertices(v.copy())
+        assert rigidity_loss(a, b) == 0.0
 
     def test_uniform_scale_unit_edges(self):
         # equilateral triangle with unit edges, scaled by s: every edge term (s-1)^2
         s = 1.3
         tri = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, np.sqrt(3) / 2, 0]])
-        mesh = TriMesh(tri, [[0, 1, 2]])
-        prev = DeformedMesh(mesh, tri, 0)
-        curr = DeformedMesh(mesh, tri * s, 1)
-        assert abs(dynamic_rigidity_loss(curr, prev) - (s - 1.0) ** 2) < 1e-12
+        prev = TriMesh(tri, [[0, 1, 2]])
+        curr = prev.with_vertices(tri * s)
+        assert abs(rigidity_loss(curr, prev) - (s - 1.0) ** 2) < 1e-12
 
     def test_invariant_to_common_rigid_transform(self, rng):
         mesh = make_cube()
-        a = DeformedMesh(mesh, rng.normal(size=(8, 3)), 0)
-        b = DeformedMesh(mesh, rng.normal(size=(8, 3)), 1)
-        base = dynamic_rigidity_loss(b, a)
+        a = mesh.with_vertices(rng.normal(size=(8, 3)))
+        b = mesh.with_vertices(rng.normal(size=(8, 3)))
+        base = rigidity_loss(b, a)
         t = random_transform(rng)
-        moved = dynamic_rigidity_loss(
-            DeformedMesh(mesh, t.apply(b.vertices), 1),
-            DeformedMesh(mesh, t.apply(a.vertices), 0),
-        )
+        moved = rigidity_loss(mesh.with_vertices(t.apply(b.vertices)),
+                              mesh.with_vertices(t.apply(a.vertices)))
         assert abs(base - moved) < 1e-10
-
-    def test_mismatched_bases_error(self, rng):
-        a = DeformedMesh(make_cube(), rng.normal(size=(8, 3)))
-        quad = make_quad()
-        b = DeformedMesh(quad, rng.normal(size=(4, 3)))
-        with pytest.raises(ValueError):
-            dynamic_rigidity_loss(a, b)
 
     def test_nonnegative(self, rng):
         mesh = make_cube()
         for _ in range(5):
-            a = DeformedMesh(mesh, rng.normal(size=(8, 3)), 0)
-            b = DeformedMesh(mesh, rng.normal(size=(8, 3)), 1)
-            assert dynamic_rigidity_loss(b, a) >= 0.0
+            a = mesh.with_vertices(rng.normal(size=(8, 3)))
+            b = mesh.with_vertices(rng.normal(size=(8, 3)))
+            assert rigidity_loss(b, a) >= 0.0
 
 
 class TestDeformedMesh:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from animrig import fitting
+from animrig.chamfer import chamfer_global, chamfer_local
 from animrig.fitting import (
     FitConfig,
     FitError,
@@ -223,6 +224,25 @@ class TestObjectiveGradient:
         rigid = obj.evaluate(rotated)[1]["rigid"]
         assert expected > 0
         assert abs(rigid - expected) <= 1e-10 * expected
+
+    def test_chamfer_terms_equal_eval_chamfer(self, rig, rng):
+        # the fit and eval-chamfer read their part term from one match_parts
+        mesh, skel, w = rig
+        helper = FitRig(mesh, skel, w)
+        target = mesh.with_vertices(helper.deform(random_theta(helper, rng)))
+        target_weights = heat_diffusion_skinning(target, skel)
+        obj = FrameObjective(helper, FitConfig(lambda_local=0.5), target.vertices,
+                             target_weights=target_weights)
+        theta = random_theta(helper, rng)
+        terms = obj.evaluate(theta)[1]
+        X = helper.deform(theta)
+        expected = {
+            "global": chamfer_global(X, target.vertices),
+            "local": chamfer_local(X, target.vertices, w, target_weights),
+        }
+        for key, value in expected.items():
+            assert value > 0
+            assert abs(terms[key] - value) <= 1e-12 * value
 
 
 class TestNormalEquations:
