@@ -21,7 +21,7 @@ import numpy as np
 from . import chamfer as ch
 from .deform import export_frame_meshes
 from .fitting import FitConfig, fit_motion
-from .geometry import TriMesh, load_mesh, save_mesh
+from .geometry import load_mesh, save_mesh
 from .retarget import (
     JointCorrespondence,
     build_interior_field,
@@ -30,25 +30,13 @@ from .retarget import (
     load_correspondence,
     transfer_motion,
 )
-from .skeleton import (
-    MotionFrame,
-    Skeleton,
-    check_parent_tree,
-    clip_to_dict,
-    load_clip,
-    load_skeleton,
-    posed_joints,
-    save_clip,
-    save_skeleton,
-)
+from .skeleton import load_clip, load_skeleton, posed_joints, save_clip, save_skeleton
 from .skinning import (
-    SkinWeights,
     ellipsoids_from_skeleton,
     gaussian_skinning,
     heat_diffusion_skinning,
     load_weights,
     save_weights,
-    weights_to_dict,
 )
 
 EXIT_OK = 0
@@ -125,11 +113,17 @@ def _skin(mesh, skeleton, method):
     return heat_diffusion_skinning(mesh, skeleton)
 
 
-def _correspondence(path, reference: Skeleton) -> JointCorrespondence:
-    """The correspondence file at path, or else the identity on reference's joints."""
-    if path is not None:
-        return load_correspondence(path)
-    return JointCorrespondence.identity(reference.num_joints)
+def _load(label, loader, path, diagnostics):
+    """loader(path), or None after appending a "<label> not found" or
+    "<label> invalid" diagnostic."""
+    if not os.path.isfile(path):
+        diagnostics.append(f"{label} not found: {path}")
+        return None
+    try:
+        return loader(path)
+    except Exception as exc:
+        diagnostics.append(f"{label} invalid: {exc}")
+        return None
 
 
 def validate_assets(config: PipelineConfig):
@@ -138,75 +132,42 @@ def validate_assets(config: PipelineConfig):
 
 
 def _check_assets(config: PipelineConfig):
-    """(diagnostics, canonical mesh, retarget target mesh); a mesh is None
-    when it is not configured or did not parse."""
+    """(diagnostics, inputs): each configured input loaded once. inputs maps
+    "mesh", "skeleton", "weights", "supervision" (the frame paths),
+    "target_mesh", "target_skeleton" and "correspondence" to what loaded, or
+    to None where an input is not configured or failed."""
     diagnostics = []
-    mesh = None
-    target_mesh = None
-    skeleton = None
-
-    if not os.path.isfile(config.canonical_mesh):
-        diagnostics.append(f"canonical mesh not found: {config.canonical_mesh}")
-    else:
-        try:
-            mesh = load_mesh(config.canonical_mesh)
-        except Exception as exc:
-            diagnostics.append(f"canonical mesh invalid: {exc}")
-
-    if not os.path.isfile(config.skeleton):
-        diagnostics.append(f"skeleton not found: {config.skeleton}")
-    else:
-        try:
-            with open(config.skeleton) as fh:
-                raw = json.load(fh)
-            issues = check_parent_tree(np.asarray(raw["parents"], dtype=np.int64))
-            diagnostics.extend(f"skeleton: {msg}" for msg in issues)
-            if not issues:
-                skeleton = load_skeleton(config.skeleton)
-        except Exception as exc:
-            diagnostics.append(f"skeleton invalid: {exc}")
+    mesh = _load("canonical mesh", load_mesh, config.canonical_mesh, diagnostics)
+    skeleton = _load("skeleton", load_skeleton, config.skeleton, diagnostics)
+    weights = supervision = target_mesh = target_skel = corr = None
 
     if config.skinning_method not in SKINNING_METHODS:
         diagnostics.append(f"skinning method not in {SKINNING_METHODS}: {config.skinning_method!r}")
 
     try:
-        _supervision_paths(config.supervision_dir)
+        supervision = _supervision_paths(config.supervision_dir)
     except ValueError as exc:
         diagnostics.append(str(exc))
 
     if config.weights is not None:
-        if not os.path.isfile(config.weights):
-            diagnostics.append(f"weights not found: {config.weights}")
-        else:
-            try:
-                w = load_weights(config.weights)
-                if mesh is not None and w.num_vertices != mesh.num_vertices:
-                    diagnostics.append(
-                        f"weights rows ({w.num_vertices}) do not match mesh vertices "
-                        f"({mesh.num_vertices})"
-                    )
-                if skeleton is not None and w.num_bones != skeleton.num_bones:
-                    diagnostics.append(
-                        f"weights columns ({w.num_bones}) do not match skeleton bones "
-                        f"({skeleton.num_bones})"
-                    )
-            except Exception as exc:
-                diagnostics.append(f"weights invalid: {exc}")
+        weights = _load("weights", load_weights, config.weights, diagnostics)
+    if weights is not None and mesh is not None and weights.num_vertices != mesh.num_vertices:
+        diagnostics.append(
+            f"weights rows ({weights.num_vertices}) do not match mesh vertices "
+            f"({mesh.num_vertices})"
+        )
+    if weights is not None and skeleton is not None and weights.num_bones != skeleton.num_bones:
+        diagnostics.append(
+            f"weights columns ({weights.num_bones}) do not match skeleton bones "
+            f"({skeleton.num_bones})"
+        )
 
     if config.retarget_enabled():
-        target_skel = None
-        if not os.path.isfile(config.retarget_target_mesh):
-            diagnostics.append(f"retarget target mesh not found: {config.retarget_target_mesh}")
-        else:
-            try:
-                target_mesh = load_mesh(config.retarget_target_mesh)
-            except Exception as exc:
-                diagnostics.append(f"retarget target mesh invalid: {exc}")
+        target_mesh = _load("retarget target mesh", load_mesh, config.retarget_target_mesh,
+                            diagnostics)
         if config.retarget_target_skeleton is not None:
-            try:
-                target_skel = load_skeleton(config.retarget_target_skeleton)
-            except Exception as exc:
-                diagnostics.append(f"retarget target skeleton invalid: {exc}")
+            target_skel = _load("retarget target skeleton", load_skeleton,
+                                config.retarget_target_skeleton, diagnostics)
         elif config.retarget_embed_resolution is None:
             diagnostics.append(
                 "retarget needs either a target skeleton or an embed resolution"
@@ -219,16 +180,19 @@ def _check_assets(config: PipelineConfig):
                 "retarget embed resolution must be an integer >= 8: "
                 f"{config.retarget_embed_resolution!r}"
             )
-        if skeleton is not None and target_skel is not None:
-            try:
-                corr = _correspondence(config.retarget_correspondence, skeleton)
-                diagnostics.extend(
-                    f"correspondence: {msg}"
-                    for msg in check_correspondence(corr, skeleton, target_skel)
-                )
-            except Exception as exc:
-                diagnostics.append(f"correspondence invalid: {exc}")
-    return diagnostics, mesh, target_mesh
+        if config.retarget_correspondence is not None:
+            corr = _load("correspondence", load_correspondence, config.retarget_correspondence,
+                         diagnostics)
+        elif skeleton is not None:
+            corr = JointCorrespondence.identity(skeleton.num_joints)
+        if skeleton is not None and target_skel is not None and corr is not None:
+            diagnostics.extend(
+                f"correspondence: {msg}"
+                for msg in check_correspondence(corr, skeleton, target_skel)
+            )
+    inputs = {"mesh": mesh, "skeleton": skeleton, "weights": weights, "supervision": supervision,
+              "target_mesh": target_mesh, "target_skeleton": target_skel, "correspondence": corr}
+    return diagnostics, inputs
 
 
 def run_pipeline(config: PipelineConfig) -> int:
@@ -238,7 +202,7 @@ def run_pipeline(config: PipelineConfig) -> int:
     frames/, retarget/ (optional), and summary.json. An identical config
     reproduces byte-identical outputs except the "timing" section.
     """
-    diagnostics, mesh, target_mesh = _check_assets(config)
+    diagnostics, inputs = _check_assets(config)
     if diagnostics:
         for msg in diagnostics:
             print(f"validation: {msg}", file=sys.stderr)
@@ -252,15 +216,13 @@ def run_pipeline(config: PipelineConfig) -> int:
 
     stage = "load"
     timing = {}
+    mesh, skeleton, weights = inputs["mesh"], inputs["skeleton"], inputs["weights"]
     try:
-        skeleton = load_skeleton(config.skeleton)
-        supervision = [load_mesh(p) for p in _supervision_paths(config.supervision_dir)]
+        supervision = [load_mesh(p) for p in inputs["supervision"]]
 
         stage = "skin"
         started = time.perf_counter()
-        if config.weights is not None:
-            weights = load_weights(config.weights)
-        else:
+        if weights is None:
             weights = _skin(mesh, skeleton, config.skinning_method)
         save_weights(weights, os.path.join(work, "weights.json"))
         timing["skin_s"] = time.perf_counter() - started
@@ -304,17 +266,15 @@ def run_pipeline(config: PipelineConfig) -> int:
         if config.retarget_enabled():
             stage = "retarget"
             started = time.perf_counter()
-            if config.retarget_target_skeleton is not None:
-                target_skel = load_skeleton(config.retarget_target_skeleton)
-            else:
+            target_mesh, target_skel = inputs["target_mesh"], inputs["target_skeleton"]
+            if target_skel is None:
                 field_ = build_interior_field(target_mesh, config.retarget_embed_resolution)
                 target_skel = embed_skeleton(target_mesh, skeleton, field_)
                 save_skeleton(target_skel, os.path.join(work, "embedded_skeleton.json"))
-            corr = _correspondence(config.retarget_correspondence, skeleton)
             target_weights = heat_diffusion_skinning(target_mesh, target_skel)
             save_weights(target_weights, os.path.join(work, "target_weights.json"))
             retargeted = transfer_motion(
-                clip, skeleton, target_skel, corr, target_mesh, target_weights
+                clip, skeleton, target_skel, inputs["correspondence"], target_mesh, target_weights
             )
             export_frame_meshes(retargeted, os.path.join(work, "retarget"))
             timing["retarget_s"] = time.perf_counter() - started
@@ -381,11 +341,11 @@ def _cmd_retarget(args):
         field_ = build_interior_field(target_mesh, args.resolution)
         target_skel = embed_skeleton(target_mesh, reference, field_)
     else:
-        if not args.target_skel:
-            print("either --target-skel or --embed is required", file=sys.stderr)
-            return EXIT_VALIDATION
         target_skel = load_skeleton(args.target_skel)
-    corr = _correspondence(args.map, reference)
+    if args.map:
+        corr = load_correspondence(args.map)
+    else:
+        corr = JointCorrespondence.identity(reference.num_joints)
     issues = check_correspondence(corr, reference, target_skel)
     if issues:
         for msg in issues:
@@ -415,11 +375,14 @@ def _cmd_fk(args):
 def _cmd_eval_chamfer(args):
     if not (np.isfinite(args.lambda_local) and args.lambda_local >= 0):
         raise ValueError(f"--lambda-local must be finite and nonnegative, got {args.lambda_local}")
+    if (args.weights_pred is None) != (args.weights_target is None):
+        missing = "--weights-pred" if args.weights_pred is None else "--weights-target"
+        raise ValueError(f"part weights need both files: {missing} is missing")
     pred = load_mesh(args.pred)
     target = load_mesh(args.target)
     result = {"global": ch.chamfer_global(pred.vertices, target.vertices), "local": None}
     result["combined"] = result["global"]
-    if args.weights_pred and args.weights_target:
+    if args.weights_pred is not None:
         wp = load_weights(args.weights_pred)
         wt = load_weights(args.weights_target)
         result["local"] = ch.chamfer_local(pred.vertices, target.vertices, wp, wt)
@@ -467,10 +430,11 @@ def build_parser():
     p.add_argument("--clip", required=True)
     p.add_argument("--ref-skel", required=True)
     p.add_argument("--target-mesh", required=True)
-    p.add_argument("--target-skel")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target-skel")
+    target.add_argument("--embed", action="store_true", help="embed the reference skeleton instead")
     p.add_argument("--map", help="correspondence JSON {pairs: [[ref, tgt], ...]}")
     p.add_argument("--weights", required=True, help="target-mesh skin weights JSON")
-    p.add_argument("--embed", action="store_true", help="embed the reference skeleton instead")
     p.add_argument("--resolution", type=int, default=48, help="embedding voxel resolution")
     p.add_argument("--out", required=True, help="output directory for frame meshes")
     p.set_defaults(func=_cmd_retarget)

@@ -12,7 +12,9 @@ along the bone axis without shearing the attached geometry.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +40,8 @@ class RigidTransform:
         q = np.asarray(quaternion, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError("quaternion must have 4 components [w, x, y, z]")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("quaternion must be finite")
         norm = np.linalg.norm(q)
         if norm < 1e-12:
             raise ValueError("zero-norm quaternion")
@@ -47,6 +51,8 @@ class RigidTransform:
         t = np.asarray(translation, dtype=np.float64).copy()
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("translation must be finite")
         q.setflags(write=False)
         t.setflags(write=False)
         self.quaternion = q
@@ -76,29 +82,33 @@ class RigidTransform:
         return f"RigidTransform(q={self.quaternion.tolist()}, t={self.translation.tolist()})"
 
 
-def check_parent_tree(parents):
-    """Diagnostics for a parent-index array; empty list means a valid tree."""
-    parents = np.asarray(parents, dtype=np.int64)
+def _walk(parents):
+    """One breadth-first pass down from the roots: (issues, joints in visit order)."""
+    parents = np.asarray(parents, dtype=np.int64).tolist()
     n = len(parents)
     issues = []
-    roots = np.flatnonzero(parents == -1)
-    if len(roots) != 1:
-        issues.append(f"expected exactly one root (-1), found {len(roots)}")
-    bad = [int(j) for j in range(n) if parents[j] != -1 and not (0 <= parents[j] < n)]
+    order = [j for j, p in enumerate(parents) if p == -1]
+    if len(order) != 1:
+        issues.append(f"expected exactly one root (-1), found {len(order)}")
+    bad = [j for j, p in enumerate(parents) if p != -1 and not (0 <= p < n)]
     if bad:
         issues.append(f"parent index out of range at joints {bad}")
-        return issues
-    for j in range(n):
-        seen = []
-        cur = j
-        while cur != -1:
-            if cur in seen:
-                cycle = seen[seen.index(cur):]
-                issues.append(f"parent cycle through joints {cycle}")
-                return issues
-            seen.append(cur)
-            cur = int(parents[cur])
-    return issues
+        return issues, order
+    children = [[] for _ in range(n)]
+    for j, p in enumerate(parents):
+        if p != -1:
+            children[p].append(j)
+    for j in order:  # order grows as it is read: each joint's children join the queue
+        order.extend(children[j])
+    unreached = sorted(set(range(n)) - set(order))
+    if unreached:
+        issues.append(f"parent cycle: joints {unreached} never reach a root")
+    return issues, order
+
+
+def check_parent_tree(parents):
+    """Diagnostics for a parent-index array; empty list means a valid tree."""
+    return _walk(parents)[0]
 
 
 class Skeleton:
@@ -117,7 +127,9 @@ class Skeleton:
             raise ValueError("parents must have one entry per joint")
         if len(joints) < 1:
             raise ValueError("skeleton needs at least one joint")
-        issues = check_parent_tree(parents)
+        if not np.all(np.isfinite(joints)):
+            raise ValueError("joints must be finite")
+        issues, order = _walk(parents)
         if issues:
             raise SkeletonError("; ".join(issues))
         joints.setflags(write=False)
@@ -128,7 +140,7 @@ class Skeleton:
         if self.names is not None and len(self.names) != len(joints):
             raise ValueError("names must match the joint count")
 
-        self.root = int(np.flatnonzero(parents == -1)[0])
+        self.root = order[0]
         # bone b <-> child joint bone_joints[b]
         self.bone_joints = np.array([j for j in range(len(joints)) if j != self.root], dtype=np.int64)
         self._bone_of_joint = {int(j): b for b, j in enumerate(self.bone_joints)}
@@ -147,20 +159,13 @@ class Skeleton:
             [self._bone_of_joint.get(int(p), -1) for p in self.bone_parent_joints], dtype=np.int64
         )
         # root-to-leaf processing order over bones
-        order = []
-        depth = {self.root: 0}
-        pending = list(range(self.num_bones))
-        while pending:
-            rest = []
-            for b in pending:
-                p = int(self.bone_parent_joints[b])
-                if p in depth:
-                    depth[int(self.bone_joints[b])] = depth[p] + 1
-                    order.append(b)
-                else:
-                    rest.append(b)
-            pending = rest
-        self.bone_order = np.array(order, dtype=np.int64)
+        self.bone_order = np.array([self._bone_of_joint[j] for j in order[1:]], dtype=np.int64)
+        # each joint's rest bone lengths up to the root, leaf first, summed in
+        # that order so that the sums round as a walk up from the joint would
+        up = [()] * len(joints)
+        for j in order[1:]:
+            up[j] = (float(self.rest_lengths[self._bone_of_joint[j]]),) + up[parents[j]]
+        self._height = max(functools.reduce(operator.add, u, 0.0) for u in up)
 
     @property
     def num_joints(self):
@@ -176,15 +181,7 @@ class Skeleton:
 
     def height(self):
         """Longest root-to-leaf sum of rest bone lengths."""
-        best = 0.0
-        for j in range(self.num_joints):
-            total = 0.0
-            cur = j
-            while self.parents[cur] != -1:
-                total += float(self.rest_lengths[self.bone_of_joint(cur)])
-                cur = int(self.parents[cur])
-            best = max(best, total)
-        return best
+        return self._height
 
     def __repr__(self):
         return f"Skeleton({self.num_joints} joints, {self.num_bones} bones)"

@@ -118,6 +118,17 @@ class TestEvalChamfer:
         assert out["local"] == 0.0
         assert out["combined"] == 0.0
 
+    @pytest.mark.parametrize("given, missing", [("--weights-pred", "--weights-target"),
+                                                 ("--weights-target", "--weights-pred")])
+    def test_one_weights_file_alone_exits_2_naming_the_other(self, assets, capsys, given,
+                                                             missing):
+        code = main(["eval-chamfer", "--pred", assets["mesh"], "--target", assets["mesh"],
+                     given, assets["weights"]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert missing in captured.err
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_lambda_local_must_be_finite_and_nonnegative(self, assets, capsys, value):
         code = main([
@@ -147,6 +158,48 @@ class TestFkCommand:
         data = json.loads(capsys.readouterr().out)
         joints = np.array(data["frames"][0])
         assert abs(joints[0][0] - 0.5) < 1e-12  # root joint translated by 0.5
+
+
+def nan_root_clip(path, num_bones):
+    path.write_text(json.dumps({
+        "fps": None,
+        "frames": [{
+            "root": [float("nan"), 0, 0, 0, 0, 0, 0],  # json writes NaN, which json.load accepts
+            "angles": [[0, 0, 0]] * num_bones,
+            "bone_scales": [1] * num_bones,
+        }],
+    }))
+    return str(path)
+
+
+class TestNonFiniteClip:
+    def test_fk_exits_2(self, assets, tmp_path, capsys):
+        clip = nan_root_clip(tmp_path / "clip.json", 3)
+        assert main(["fk", "--skeleton", assets["skeleton"], "--clip", clip]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "quaternion must be finite" in captured.err
+
+    def test_retarget_exits_2(self, assets, tmp_path, capsys):
+        clip = nan_root_clip(tmp_path / "clip.json", 3)
+        out = tmp_path / "retarget"
+        code = main(["retarget", "--clip", clip, "--ref-skel", assets["skeleton"],
+                     "--target-mesh", assets["mesh"], "--target-skel", assets["skeleton"],
+                     "--weights", assets["weights"], "--out", str(out)])
+        assert code == 2
+        assert "quaternion must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRetargetCommand:
+    @pytest.mark.parametrize("target", [[], ["--target-skel", "t.json", "--embed"]])
+    def test_exactly_one_of_target_skel_and_embed(self, assets, tmp_path, capsys, target):
+        with pytest.raises(SystemExit) as exc:
+            main(["retarget", "--clip", "c.json", "--ref-skel", assets["skeleton"],
+                  "--target-mesh", assets["mesh"], "--weights", assets["weights"],
+                  "--out", str(tmp_path / "out")] + target)
+        assert exc.value.code == 2
+        assert "--target-skel" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -215,6 +268,30 @@ class TestValidate:
         assert main(["pipeline", "--config", str(path)]) == 2
         assert "target joint 3 out of range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_skeleton_joint(self, assets, tmp_path, capsys):
+        with open(assets["skeleton"]) as fh:
+            data = json.load(fh)
+        data["joints"][1][0] = float("nan")
+        bad = tmp_path / "nan_skeleton.json"
+        bad.write_text(json.dumps(data))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["skeleton"] = str(bad)
+        diags = validate_assets(PipelineConfig.from_dict(cfg))
+        assert diags == ["skeleton invalid: joints must be finite"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert '"ok": false' in capsys.readouterr().out
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "joints must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_input_named_by_label(self, assets, tmp_path):
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["skeleton"] = str(tmp_path / "ghost.json")
+        diags = validate_assets(PipelineConfig.from_dict(cfg))
+        assert diags == [f"skeleton not found: {tmp_path / 'ghost.json'}"]
 
     @pytest.mark.parametrize("resolution", [4, 16.5, "48"])
     def test_bad_embed_resolution(self, assets, tmp_path, resolution):
@@ -336,6 +413,33 @@ class TestPipeline:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_loads_each_input_once(self, assets, tmp_path, monkeypatch):
+        from animrig import cli
+        from animrig.retarget import JointCorrespondence
+
+        target_skel = tmp_path / "target_skeleton.json"
+        target_skel.write_text(open(assets["skeleton"]).read())
+        corr = tmp_path / "correspondence.json"
+        corr.write_text(json.dumps({"pairs": JointCorrespondence.identity(4).pairs}))
+        calls = []
+        for name in ("load_skeleton", "load_weights", "load_correspondence"):
+            def counted(path, _name=name, _load=getattr(cli, name)):
+                calls.append((_name, str(path)))
+                return _load(path)
+            monkeypatch.setattr(cli, name, counted)
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["fit"]["max_iters"] = 1
+        cfg["retarget"] = {"target_mesh": assets["mesh"], "target_skeleton": str(target_skel),
+                           "correspondence": str(corr)}
+        assert run_pipeline(PipelineConfig.from_dict(cfg)) == 0
+        assert sorted(calls) == sorted([
+            ("load_skeleton", assets["skeleton"]),
+            ("load_weights", assets["weights"]),
+            ("load_skeleton", str(target_skel)),
+            ("load_correspondence", str(corr)),
+        ])
+        assert len(os.listdir(tmp_path / "out" / "retarget")) == 3
 
     def test_validation_failure_exit_2(self, assets, tmp_path):
         cfg = pipeline_config_dict(assets, tmp_path / "out")

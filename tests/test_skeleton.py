@@ -44,6 +44,12 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform((0.0, 0.0, 0.0, 0.0))
 
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match="quaternion must be finite"):
+            RigidTransform((float("nan"), 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="translation must be finite"):
+            RigidTransform(translation=(0.0, float("inf"), 0.0))
+
 
 class TestParentTree:
     def test_valid_chain(self):
@@ -66,6 +72,16 @@ class TestParentTree:
         with pytest.raises(SkeletonError):
             Skeleton(np.zeros((3, 3)), [-1, 2, 1])
 
+    def test_joints_hanging_off_a_cycle_are_named(self):
+        # joint 3 is no part of the 1 <-> 2 cycle but cannot reach the root either
+        assert check_parent_tree([-1, 2, 1, 1]) == [
+            "parent cycle: joints [1, 2, 3] never reach a root"
+        ]
+        assert check_parent_tree([1, 0]) == [
+            "expected exactly one root (-1), found 0",
+            "parent cycle: joints [0, 1] never reach a root",
+        ]
+
 
 class TestSkeleton:
     def test_bone_derivations(self):
@@ -83,6 +99,19 @@ class TestSkeleton:
         assert skel.num_bones == 2
         frame = MotionFrame.rest(skel)
         assert np.allclose(posed_joints(skel, frame), joints)
+
+    def test_non_finite_joints_rejected(self):
+        joints = np.zeros((3, 3))
+        joints[1, 2] = np.nan
+        with pytest.raises(ValueError, match="joints must be finite"):
+            Skeleton(joints, [-1, 0, 1])
+
+    def test_bone_order_runs_root_to_leaf(self):
+        # joints listed leaf first, so bone index order is not a valid FK order
+        joints = np.array([[3.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
+        skel = Skeleton(joints, [1, 2, 3, -1])
+        assert [int(skel.bone_joints[b]) for b in skel.bone_order] == [2, 1, 0]
+        assert skel.height() == 3.0
 
     def test_height_longest_path(self):
         # Y-shaped: root with a long and a short branch
