@@ -73,11 +73,16 @@ def match_parts(
     pred_parts: PartDecomposition | None = None,
     target_parts: PartDecomposition | None = None,
     target_trees=None,
+    global_match: GlobalMatch | None = None,
 ) -> PartPairs:
     """Per-part nearest-neighbor pairings over parts present in both clouds.
 
     target_trees optionally maps each present target part to a KD-tree of
-    its points, for callers that match one target many times."""
+    its points, for callers that match one target many times. global_match,
+    a match_global of the same clouds, optionally seeds the pairs of each
+    direction it holds: a point whose global nearest neighbor carries its own
+    part label keeps that neighbor, and only the other points are queried
+    within the part."""
     if pred_weights.num_vertices != len(pred_points):
         raise ValueError("pred weights rows must match the pred cloud size")
     if target_weights.num_vertices != len(target_points):
@@ -88,6 +93,9 @@ def match_parts(
         pred_parts = part_decompose(pred_weights)
     if target_parts is None:
         target_parts = part_decompose(target_weights)
+    near_p = near_t = None
+    if global_match is not None:
+        near_p, near_t = global_match.idx_pred, global_match.idx_target
     common = np.intersect1d(pred_parts.present_parts, target_parts.present_parts)
     wp, wt = pred_weights.weights, target_weights.weights
     scale = 1.0 / max(len(common), 1)
@@ -95,12 +103,15 @@ def match_parts(
     for k in common:
         pi = pred_parts.indices_of(k)
         ti = target_parts.indices_of(k)
-        pk, tk = pred_points[pi], target_points[ti]
-        tree_t = cKDTree(tk) if target_trees is None else target_trees[k]
-        _, near_t = tree_t.query(pk)
-        _, near_p = cKDTree(pk).query(tk)
-        p_to_t = ti[near_t]
-        t_to_p = pi[near_p]
+        p_to_t = _nearest_in_part(
+            pred_points[pi], target_points, ti, target_parts.labels, k,
+            None if near_p is None else near_p[pi],
+            None if target_trees is None else target_trees[k],
+        )
+        t_to_p = _nearest_in_part(
+            target_points[ti], pred_points, pi, pred_parts.labels, k,
+            None if near_t is None else near_t[ti],
+        )
         pred_index += [pi, t_to_p]
         target_index += [p_to_t, ti]
         coef += [wp[pi, k] * wt[p_to_t, k] * (scale / len(pi)),
@@ -110,6 +121,26 @@ def match_parts(
         np.concatenate(pred_index + empty), np.concatenate(target_index + empty),
         np.concatenate(coef + [np.zeros(0)]), len(common),
     )
+
+
+def _nearest_in_part(queries, points, part, labels, k, nearest=None, tree=None):
+    """Index into points of each query's nearest neighbor among points[part],
+    the points labelled k. nearest optionally holds each query's nearest
+    neighbor among all points: where that one is labelled k it is the answer,
+    and only the other queries are searched, in tree or in a KD-tree of
+    points[part] built when some query needs it."""
+    if nearest is None:
+        out, miss = np.empty(len(queries), dtype=np.intp), slice(None)
+    else:
+        out = nearest.copy()
+        miss = labels[nearest] != k
+        if not np.any(miss):
+            return out
+    if tree is None:
+        tree = cKDTree(points[part])
+    _, near = tree.query(queries[miss])
+    out[miss] = part[near]
+    return out
 
 
 def part_match_value(pred_points, target_points, pairs: PartPairs) -> float:

@@ -185,10 +185,12 @@ def _check_assets(config: PipelineConfig):
                          diagnostics)
         elif skeleton is not None:
             corr = JointCorrespondence.identity(skeleton.num_joints)
-        if skeleton is not None and target_skel is not None and corr is not None:
+        # an embedded target skeleton keeps the reference skeleton's parents
+        parents = skeleton if config.retarget_target_skeleton is None else target_skel
+        if skeleton is not None and parents is not None and corr is not None:
             diagnostics.extend(
                 f"correspondence: {msg}"
-                for msg in check_correspondence(corr, skeleton, target_skel)
+                for msg in check_correspondence(corr, skeleton, parents)
             )
     inputs = {"mesh": mesh, "skeleton": skeleton, "weights": weights, "supervision": supervision,
               "target_mesh": target_mesh, "target_skeleton": target_skel, "correspondence": corr}

@@ -3,7 +3,9 @@
 Each frame's root transform, joint angles, and bone scales are optimized so
 the blend-skinned canonical mesh matches the frame's supervision mesh under
 the global-local chamfer plus regularizers. Frames are solved in temporal
-order, each first aligned by one coarse point-to-plane solve. With the
+order, each first aligned by one coarse point-to-plane solve against samples
+of the supervision surface, which stops once it is as close as the samples
+can tell (_align_coarse). With the
 nearest-neighbor correspondences frozen, every loss term is a sum of squared
 residuals over the 6 + 4B parameters, so _minimize runs Levenberg-Marquardt:
 FrameObjective._gauss_newton forms the Gauss-Newton normal equations from a
@@ -66,7 +68,8 @@ class FitConfig:
 
     max_iters caps the Levenberg-Marquardt steps of a frame's final solve
     (each step is one damped normal-equation solve, kept or not); the coarse
-    alignment before that solve adds at most max_iters // 2 more. A frame stops
+    alignment before that solve adds at most max_iters // 2 more, and fewer
+    once it reaches its sampling floor (see _align_coarse). A frame stops
     early once an accepted round lowers the objective by a relative amount
     below convergence_tol, or once no step lowers it (see _minimize);
     scale_bounds box-constrains bone scales at every iterate. The loss is
@@ -313,6 +316,14 @@ class FitRig:
         return M.reshape(4 * B, 3, 4 * B)
 
 
+def _damped_plane(a, n):
+    """Per-point damped point-to-plane cost of offsets a from samples with unit
+    normals n, and the offsets' normal components: tangential sliding is
+    cheap, not free."""
+    dots = np.einsum("ni,ni->n", a, n)
+    return dots**2 + PLANE_DAMPING * np.einsum("ni,ni->n", a, a), dots
+
+
 class FrameObjective:
     """One frame's differentiable objective over a FitRig's parameters.
 
@@ -389,7 +400,7 @@ class FrameObjective:
         n_pred = len(X)
         plane = self.target_normals is not None
         vertex, target, coef, grad_coef = [], [], [], []
-        plane_target = plane_normal = None
+        plane_target = plane_normal = m = None
         if cfg.lambda_global > 0:
             # the point-to-plane metric reads only the pred -> target direction
             m = ch.match_global(X, T, self.target_tree, two_sided=not plane)
@@ -404,7 +415,7 @@ class FrameObjective:
         if cfg.lambda_local > 0:
             parts = ch.match_parts(
                 X, T, self.rig.weights, self.target_weights,
-                self.rig.pred_parts, self.target_parts, self.target_part_trees,
+                self.rig.pred_parts, self.target_parts, self.target_part_trees, m,
             )
             if not parts.num_parts:
                 warnings.warn(
@@ -446,12 +457,10 @@ class FrameObjective:
             for k in range(3):
                 G[:, k] = np.bincount(pairs.vertex, scaled[:, k], minlength=n_pred)
         if pairs.plane_target is not None:
-            # damped point-to-plane: tangential sliding is cheap, not free
             a = X - pairs.plane_target
             n = pairs.plane_normal
-            dots = np.einsum("ni,ni->n", a, n)
-            d2 = np.einsum("ni,ni->n", a, a)
-            terms["global"] = float(np.mean(dots**2 + PLANE_DAMPING * d2))
+            cost, dots = _damped_plane(a, n)
+            terms["global"] = float(np.mean(cost))
             G += (2.0 * cfg.lambda_global / n_pred) * (dots[:, None] * n + PLANE_DAMPING * a)
         if cfg.lambda_lap > 0:
             residual = self.rig.lap_op @ X
@@ -576,7 +585,7 @@ def _lm_step(objective: FrameObjective, theta, H, g, damping):
     return step
 
 
-def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None):
+def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None, floor=0.0):
     """Levenberg-Marquardt on frozen-match rounds with monotone acceptance.
 
     Each round freezes the nearest-neighbor matches and takes up to
@@ -591,7 +600,8 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     other. max_iters caps the LM steps. Accepted rounds are non-increasing in
     the true objective, and bone scales respect scale_bounds at every iterate.
     history, when given, collects the objective value after every accepted
-    round.
+    round. floor is a value below which the objective cannot tell fits
+    apart: the solve stops once an accepted objective is at or below it.
 
     The current point (theta, forward pass, matching, loss terms, dLoss/dX,
     H and g) and the round's point are plain local state: each theta is
@@ -602,12 +612,13 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
     deformed vertices at theta and stop_reason is "converged" (an accepted
     round lowered the objective by a relative amount below convergence_tol, no
     step changes the frozen objective by more than that, or the objective is
-    at or below _exact_fit_floor, where rounding decides acceptance), "budget"
-    (max_iters steps taken) or "no-descent" (MAX_REJECTED_ROUNDS rounds in a
-    row raised the objective, or mu passed DAMPING_MAX).
+    at or below floor, or at or below _exact_fit_floor, where rounding decides
+    acceptance), "budget" (max_iters steps taken) or "no-descent"
+    (MAX_REJECTED_ROUNDS rounds in a row raised the objective, or mu passed
+    DAMPING_MAX).
     """
     tol = config.convergence_tol
-    floor = _exact_fit_floor(objective)
+    floor = max(_exact_fit_floor(objective), floor)
     theta = objective.project(np.asarray(theta0, dtype=np.float64))
     fw = objective.rig._forward(theta)
     matches = objective.match(fw["X"])
@@ -665,6 +676,22 @@ def _minimize(objective: FrameObjective, theta0, config: FitConfig, history=None
         H, g = objective._gauss_newton(fw, matches, G)
 
 
+def _align_coarse(rig: FitRig, config: FitConfig, target: TriMesh, theta0, frame_index):
+    """The coarse stage: the rig fitted to target's surface samples under the
+    damped point-to-plane term alone. The samples cannot resolve the surface
+    below the objective's value at target's own vertices (PLANE_DAMPING
+    counts each vertex's distance to its nearest sample), so the solve stops
+    there. Returns (theta, X, iterations).
+    """
+    points, normals = surface_samples(target)
+    coarse = FrameObjective(rig, config, points, normals, frame_index=frame_index)
+    _, nearest = coarse.target_tree.query(target.vertices)
+    cost, _ = _damped_plane(target.vertices - points[nearest], normals[nearest])
+    floor = config.lambda_global * float(np.mean(cost))
+    theta, X, _, iterations, _ = _minimize(coarse, theta0, config, floor=floor)
+    return theta, X, iterations
+
+
 def _transferred_weights(weights: SkinWeights, source_points, points) -> SkinWeights:
     """Each point's weight row from its nearest source point (one row per source point)."""
     _, nearest = cKDTree(source_points).query(points)
@@ -720,8 +747,9 @@ def fit_motion(
     all data terms are point-set losses. Each frame starts from the previous
     frame's parameters (from their linear extrapolation once two frames are
     solved), is aligned to the supervision surface by one coarse solve of a
-    point-to-plane objective with up to max_iters // 2 steps, and is then
-    solved once on the full objective.
+    point-to-plane objective with up to max_iters // 2 steps, which stops once
+    the objective is no higher than at the supervision mesh's own vertices,
+    and is then solved once on the full objective.
     supervision_weights optionally supplies per-frame target-side skin
     weights (e.g. when the supervision carries known weights); otherwise,
     when lambda_local > 0, each supervision vertex takes the canonical weight
@@ -764,18 +792,16 @@ def fit_motion(
     theta_prev2 = None
     for t, target in enumerate(supervision):
         start = time.perf_counter()
-        sample_points, sample_normals = surface_samples(target)
-        coarse = FrameObjective(rig, coarse_config, sample_points, sample_normals, frame_index=t)
         if theta_prev2 is not None:
             # linear motion prediction halves the warm-start offset
-            theta0 = coarse.project(2.0 * theta_prev - theta_prev2)
+            theta0 = 2.0 * theta_prev - theta_prev2
         elif theta_prev is not None:
             theta0 = theta_prev
         else:
             theta0 = rig.rest_parameters()
         # align first, so that estimated target weights come from a prediction
         # that already tracks the supervision (including its root motion)
-        theta_aligned, X_aligned, _, iterations, _ = _minimize(coarse, theta0, coarse_config)
+        theta_aligned, X_aligned, iterations = _align_coarse(rig, coarse_config, target, theta0, t)
 
         if supervision_weights is not None:
             target_w = supervision_weights[t]

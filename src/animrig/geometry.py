@@ -6,6 +6,7 @@ immutable after construction, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -119,7 +120,8 @@ def load_mesh(path) -> TriMesh:
 
     Face indices are 1-based; `i/j/k` vertex references keep the first field.
     Unrecognized line types are ignored. Raises MeshFormatError for malformed
-    or empty files and UnsupportedTopologyError for non-triangle faces.
+    or empty files and non-finite coordinates, and UnsupportedTopologyError
+    for non-triangle faces.
     """
     parsed = _read_tokens(path)
     if parsed is None:
@@ -127,9 +129,12 @@ def load_mesh(path) -> TriMesh:
     coords, refs = parsed
     if not coords:
         raise MeshFormatError(f"{path}: no vertex data found")
+    vertices = np.array(coords).reshape(-1, 3)
+    if not np.isfinite(vertices).all():
+        _raise_line_error(path)
     faces = np.array([i - 1 for i in refs], dtype=np.int64).reshape(-1, 3)
     try:
-        return TriMesh(np.array(coords).reshape(-1, 3), faces)
+        return TriMesh(vertices, faces)
     except ValueError as exc:
         raise MeshFormatError(f"{path}: {exc}") from exc
 
@@ -168,7 +173,8 @@ def _read_tokens(path):
 
 def _raise_line_error(path):
     """Raise the error of the first malformed line of a mesh file, line by
-    line as the file is read; every file _read_tokens rejects has one."""
+    line as the file is read; every file that _read_tokens rejects, or whose
+    coordinates are not all finite, has one."""
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -179,9 +185,11 @@ def _raise_line_error(path):
                 if len(tokens) < 4:
                     raise MeshFormatError(f"{path}:{lineno}: vertex line needs 3 coordinates")
                 try:
-                    list(map(float, tokens[1:4]))
+                    xyz = list(map(float, tokens[1:4]))
                 except ValueError as exc:
                     raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+                if not all(map(math.isfinite, xyz)):
+                    raise MeshFormatError(f"{path}:{lineno}: non-finite vertex coordinate")
             elif tag == "f":
                 refs = tokens[1:]
                 if len(refs) != 3:

@@ -8,6 +8,8 @@ vertex and face. The batched code must give bit-identical results and
 byte-identical files, and raise the same errors.
 """
 
+import math
+
 import numpy as np
 
 from animrig.geometry import MeshFormatError, TriMesh, UnsupportedTopologyError
@@ -62,6 +64,8 @@ def reference_load_mesh(path):
                     vertices.append([float(t) for t in tokens[1:4]])
                 except ValueError as exc:
                     raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+                if not all(math.isfinite(c) for c in vertices[-1]):
+                    raise MeshFormatError(f"{path}:{lineno}: non-finite vertex coordinate")
             elif tag == "f":
                 refs = tokens[1:]
                 if len(refs) != 3:

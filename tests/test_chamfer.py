@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from animrig.chamfer import chamfer_global, chamfer_local, match_global
+from animrig import chamfer
+from animrig.chamfer import chamfer_global, chamfer_local, match_global, match_parts
 from animrig.cli import main
 from animrig.geometry import EmptyInputError
 from animrig.skinning import SkinWeights, save_weights
@@ -140,6 +141,42 @@ class TestChamferLocal:
         w_bad = SkinWeights(random_weights(rng, 9))
         with pytest.raises(ValueError):
             chamfer_local(a, a, w_bad, w_bad)
+
+
+def weights_without(rng, n, bones, absent):
+    """Random row-stochastic weights in which part `absent` never wins a row."""
+    w = rng.random((n, bones))
+    w[:, absent] = 0.0
+    return SkinWeights(w / w.sum(axis=1, keepdims=True))
+
+
+class TestMatchParts:
+    """A global match seeds match_parts without changing a single pair."""
+
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_global_match_gives_the_same_pairs(self, rng, two_sided):
+        for _ in range(10):
+            a = rng.normal(size=(rng.integers(50, 200), 3))
+            b = rng.normal(size=(rng.integers(50, 200), 3))
+            # random labels cross everywhere; part 3 is only in b, part 4 only in a
+            wa, wb = weights_without(rng, len(a), 5, 3), weights_without(rng, len(b), 5, 4)
+            plain = match_parts(a, b, wa, wb)
+            seeded = match_parts(a, b, wa, wb,
+                                 global_match=match_global(a, b, two_sided=two_sided))
+            assert plain.num_parts == seeded.num_parts == 3
+            for name in ("pred_index", "target_index", "coef"):
+                assert np.array_equal(getattr(plain, name), getattr(seeded, name))
+
+    def test_no_part_tree_without_misses(self, rng, monkeypatch):
+        a, b = rng.normal(size=(60, 3)), rng.normal(size=(50, 3))
+        wa, wb = SkinWeights(np.ones((60, 1))), SkinWeights(np.ones((50, 1)))
+        m = match_global(a, b)
+        built = []
+        monkeypatch.setattr(chamfer, "cKDTree", lambda points: built.append(len(points)))
+        pairs = match_parts(a, b, wa, wb, global_match=m)
+        assert built == []
+        assert np.array_equal(pairs.target_index[:60], m.idx_pred)
+        assert np.array_equal(pairs.pred_index[60:], m.idx_target)
 
 
 def eval_chamfer(tmp_path, capsys, pred, target, w_pred, w_target, lambda_local=1.0):

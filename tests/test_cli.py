@@ -287,6 +287,37 @@ class TestValidate:
         assert "joints must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_mesh_coordinate(self, assets, tmp_path, capsys):
+        bad = tmp_path / "nan.obj"
+        bad.write_text("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n")
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["canonical_mesh"] = str(bad)
+        diags = validate_assets(PipelineConfig.from_dict(cfg))
+        assert diags == [f"canonical mesh invalid: {bad}:2: non-finite vertex coordinate"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "canonical mesh invalid" in capsys.readouterr().out
+
+    def test_embedded_target_checks_correspondence(self, assets, tmp_path, capsys):
+        # the embedded skeleton keeps the reference's parents, so 1 -> 2 and
+        # 2 -> 1 breaks the chain before any fit runs
+        target = tmp_path / "target.obj"
+        save_mesh(limb_rig(rings=12, sides=8)[0], str(target))
+        corr = tmp_path / "correspondence.json"
+        corr.write_text(json.dumps({"pairs": [[1, 2], [2, 1]]}))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["retarget"] = {"target_mesh": str(target), "embed_resolution": 48,
+                           "correspondence": str(corr)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        message = "pair (2->1): reference parent 1 maps to 2 but target parent is 0"
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().out
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_named_by_label(self, assets, tmp_path):
         cfg = pipeline_config_dict(assets, tmp_path / "out")
         cfg["skeleton"] = str(tmp_path / "ghost.json")

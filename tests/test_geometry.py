@@ -67,6 +67,12 @@ class TestLoadMesh:
             load_mesh(write(tmp_path, "v 0 0 zero\nf 1 1 1\n"))
         assert ":1" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(write(tmp_path, f"v 0 0 0\nv {value} 0 0\nv 0 1 0\nf 1 2 3\n"))
+        assert ":2: non-finite vertex coordinate" in str(err.value)
+
     def test_slash_face_references(self, tmp_path):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/2 3/3/3\n"
         mesh = load_mesh(write(tmp_path, text))
