@@ -69,7 +69,14 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data):
         """Keys it does not read, such as the deleted "seed" and
-        "retarget.scale_root_translation", are ignored."""
+        "retarget.scale_root_translation", are ignored. ValueError when the
+        top level or its "retarget", "skinning" or "fit" section is not a
+        JSON object."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        for key in ("retarget", "skinning", "fit"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f'config "{key}" must be a JSON object')
         retarget = data.get("retarget", {})
         return cls(
             canonical_mesh=data["canonical_mesh"],

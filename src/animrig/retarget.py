@@ -6,6 +6,9 @@ into the target mesh's voxelized interior), the root trajectory is rescaled
 by the skeleton height ratio, and the target mesh is posed by forward
 kinematics plus blend skinning. One target skeleton and one set of skin
 weights serve every frame.
+
+The embedding places joints deep in the voxelized interior (Baran & Popović,
+SIGGRAPH 2007), found by ray-crossing parity (Nooruddin & Turk, TVCG 2003).
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .deform import DeformedMesh, blend_skin
 from .geometry import TriMesh
-from .skeleton import MotionClip, MotionFrame, RigidTransform, Skeleton, forward_kinematics
+from .skeleton import (
+    MotionClip, MotionFrame, RigidTransform, Skeleton, forward_kinematics, json_index,
+)
 from .skinning import SkinWeights
 
 
@@ -36,7 +42,10 @@ class JointCorrespondence:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(r), int(t)) for r, t in self.pairs)
+        pairs = tuple(
+            (json_index(r, "correspondence index"), json_index(t, "correspondence index"))
+            for r, t in self.pairs
+        )
         refs = [r for r, _ in pairs]
         tgts = [t for _, t in pairs]
         if len(set(refs)) != len(refs) or len(set(tgts)) != len(tgts):
@@ -100,10 +109,6 @@ class InteriorField:
     def voxel_centers(self, indices):
         return self.origin + (np.asarray(indices, dtype=np.float64) + 0.5) * self.voxel_size
 
-    def index_of(self, point):
-        idx = np.floor((np.asarray(point) - self.origin) / self.voxel_size).astype(int)
-        return tuple(np.clip(idx, 0, np.array(self.dims) - 1))
-
     def contains(self, points):
         """Whether each point falls in an interior voxel.
 
@@ -121,45 +126,13 @@ class InteriorField:
         return int(self.interior.sum())
 
 
-def _column_crossings(py, pz, tri2d, tri_x, eps=1e-12):
-    """Sorted x positions where the +x line through (py, pz) crosses triangles.
+def _column_entries(tri2d, origin, voxel, dims):
+    """(face, column) arrays pairing each triangle with every (y, z) voxel
+    column its bbox covers.
 
-    Returns None when a crossing is numerically ambiguous (hit near an edge),
-    signalling the caller to jitter the column.
-    """
-    v0, v1, v2 = tri2d[:, 0], tri2d[:, 1], tri2d[:, 2]
-    d1 = v1 - v0
-    d2 = v2 - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    ok = np.abs(det) > eps
-    if not ok.any():
-        return []
-    p = np.array([py, pz]) - v0[ok]
-    inv = 1.0 / det[ok]
-    u = (p[:, 0] * d2[ok][:, 1] - p[:, 1] * d2[ok][:, 0]) * inv
-    v = (d1[ok][:, 0] * p[:, 1] - d1[ok][:, 1] * p[:, 0]) * inv
-    w = 1.0 - u - v
-    margin = 1e-9
-    inside = (u > margin) & (v > margin) & (w > margin)
-    grazing = (
-        (np.abs(u) <= margin) | (np.abs(v) <= margin) | (np.abs(w) <= margin)
-    ) & (u > -margin) & (v > -margin) & (w > -margin)
-    if grazing.any():
-        return None
-    if not inside.any():
-        return []
-    xs = tri_x[ok][inside]
-    uu, vv, ww = u[inside], v[inside], w[inside]
-    crossings = ww * xs[:, 0] + uu * xs[:, 1] + vv * xs[:, 2]
-    return np.sort(crossings)
-
-
-def _column_buckets(tri2d, origin, voxel, dims):
-    """(j, k, face ids) of each (y, z) voxel column that triangle bboxes cover.
-
-    tri2d holds the triangles' (y, z) corners. A triangle goes to every
-    column in its bbox, clipped to the grid; each column lists its faces in
-    ascending order, and the columns come in ascending (j, k) order.
+    tri2d holds the triangles' (y, z) corners; column j * dims[2] + k is
+    column (j, k). Bboxes are clipped to the grid. Entries come face by face
+    in ascending order, each face's columns in ascending order.
     """
     lo = np.floor((tri2d.min(axis=1) - origin[1:]) / voxel).astype(int)
     hi = np.floor((tri2d.max(axis=1) - origin[1:]) / voxel).astype(int)
@@ -171,21 +144,19 @@ def _column_buckets(tri2d, origin, voxel, dims):
     local = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
     width = span[face, 1]
     column = (lo[face, 0] + local // width) * dims[2] + lo[face, 1] + local % width
-    order = np.argsort(column, kind="stable")
-    column, face = column[order], face[order]
-    starts = np.flatnonzero(np.diff(column, prepend=-1))
-    ends = np.append(starts[1:], len(column))
-    return [divmod(int(column[a]), int(dims[2])) + (face[a:b],) for a, b in zip(starts, ends)]
+    return face, column
 
 
 def build_interior_field(mesh: TriMesh, resolution: int) -> InteriorField:
-    """Voxelize a mesh interior by x-ray parity and propagate surface distance.
+    """Voxelize a mesh interior by x-ray parity and measure surface distance.
 
     resolution counts voxels along the longest bounding-box axis (cubic
-    voxels). Interiority uses crossing parity of +x rays through voxel-column
-    centers, with deterministic sub-voxel jitter retries for rays that graze
-    triangle edges. Distance-to-surface is breadth-first (6-neighbor) layer
-    counting from the boundary, scaled by the voxel size.
+    voxels). Interiority uses crossing parity of +x rays through the centers
+    of all voxel columns at once; a column whose ray grazes a triangle edge
+    is recast with a deterministic sub-voxel jitter, and stays outside if it
+    still grazes after six attempts or has fewer than 2 crossings. Distance
+    to the surface is the taxicab distance to the nearest non-interior voxel
+    (6-neighbor layers), scaled by the voxel size.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
@@ -203,51 +174,50 @@ def build_interior_field(mesh: TriMesh, resolution: int) -> InteriorField:
 
     tris = mesh.vertices[mesh.faces]          # (F, 3, 3)
     tri2d = tris[:, :, 1:]                    # (y, z) projection
-    tri_x = tris[:, :, 0]
-    interior = np.zeros(tuple(dims), dtype=bool)
-    x_centers = origin[0] + (np.arange(dims[0]) + 0.5) * voxel
-    for j, k, ids in _column_buckets(tri2d, origin, voxel, dims):
-        py = origin[1] + (j + 0.5) * voxel
-        pz = origin[2] + (k + 0.5) * voxel
-        crossings = None
-        for attempt in range(6):
-            # deterministic sub-voxel jitter to dodge edge-grazing rays
-            off = (attempt * 0.137) * 1e-3 * voxel
-            crossings = _column_crossings(py + off, pz + 1.61 * off, tri2d[ids], tri_x[ids])
-            if crossings is not None:
-                break
-        if crossings is None or len(crossings) < 2:
-            continue
-        # odd crossing count below a center means inside
-        counts = np.searchsorted(crossings, x_centers)
-        interior[:, j, k] = (counts % 2) == 1
+    d1 = tri2d[:, 1] - tri2d[:, 0]
+    d2 = tri2d[:, 2] - tri2d[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    face, column = _column_entries(tri2d, origin, voxel, dims)
+    keep = np.abs(det[face]) > 1e-12          # edge-on triangles never cross
+    face, column = face[keep], column[keep]
+    v0, d1, d2, inv = tri2d[face, 0], d1[face], d2[face], 1.0 / det[face]
+    py, pz = origin[1:, None] + (np.array(np.divmod(column, dims[2])) + 0.5) * voxel
 
+    num_columns = dims[1] * dims[2]
+    pending = np.ones(num_columns, dtype=bool)
+    x = np.full(len(face), np.nan)            # NaN where the ray misses the face
+    margin = 1e-9
+    for attempt in range(6):
+        # deterministic sub-voxel jitter to dodge edge-grazing rays
+        off = (attempt * 0.137) * 1e-3 * voxel
+        cast = np.flatnonzero(pending[column])
+        p0 = (py[cast] + off) - v0[cast, 0]
+        p1 = (pz[cast] + 1.61 * off) - v0[cast, 1]
+        u = (p0 * d2[cast, 1] - p1 * d2[cast, 0]) * inv[cast]
+        v = (d1[cast, 0] * p1 - d1[cast, 1] * p0) * inv[cast]
+        w = 1.0 - u - v
+        near = (np.abs(u) <= margin) | (np.abs(v) <= margin) | (np.abs(w) <= margin)
+        grazing = near & (u > -margin) & (v > -margin) & (w > -margin)
+        pending = np.bincount(column[cast[grazing]], minlength=num_columns) > 0
+        hit = ~pending[column[cast]] & (u > margin) & (v > margin) & (w > margin)
+        xs = tris[face[cast[hit]], :, 0]
+        x[cast[hit]] = w[hit] * xs[:, 0] + u[hit] * xs[:, 1] + v[hit] * xs[:, 2]
+
+    # columns with fewer than 2 crossings stay outside; each crossing flips
+    # the parity of every voxel center beyond it
+    crosses = ~np.isnan(x)
+    crosses &= np.bincount(column[crosses], minlength=num_columns)[column] >= 2
+    first_beyond = np.searchsorted(origin[0] + (np.arange(dims[0]) + 0.5) * voxel, x[crosses],
+                                   side="right")
+    flips = np.bincount(first_beyond * num_columns + column[crosses],
+                        minlength=(dims[0] + 1) * num_columns).reshape(dims[0] + 1, num_columns)
+    interior = (np.cumsum(flips[:-1], axis=0) % 2 == 1).reshape(tuple(dims))
     if not interior.any():
         raise ValueError(
             f"no interior voxels at resolution {resolution}; "
             "the mesh may be open or the resolution too coarse"
         )
-
-    # multi-source BFS from all non-interior voxels, 6-connectivity
-    steps = np.zeros(tuple(dims), dtype=np.int32)
-    visited = ~interior
-    frontier = visited.copy()
-    layer = 0
-    while frontier.any():
-        grown = np.zeros_like(frontier)
-        grown[1:, :, :] |= frontier[:-1, :, :]
-        grown[:-1, :, :] |= frontier[1:, :, :]
-        grown[:, 1:, :] |= frontier[:, :-1, :]
-        grown[:, :-1, :] |= frontier[:, 1:, :]
-        grown[:, :, 1:] |= frontier[:, :, :-1]
-        grown[:, :, :-1] |= frontier[:, :, 1:]
-        layer += 1
-        newly = grown & interior & ~visited
-        if not newly.any():
-            break
-        steps[newly] = layer
-        visited |= newly
-        frontier = newly
+    steps = ndimage.distance_transform_cdt(interior, metric="taxicab")
     distance = steps.astype(np.float64) * voxel
     return InteriorField(origin=origin, voxel_size=voxel, interior=interior, distance=distance)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -306,6 +307,19 @@ def posed_joints(skeleton: Skeleton, frame: MotionFrame):
 # --- JSON wire formats -----------------------------------------------------
 
 
+def json_index(value, what):
+    """An index read from JSON as an int.
+
+    Raises ValueError for a bool, a string or a number with a fractional
+    part, which int() would accept or truncate.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer: {value!r}")
+    return int(value)
+
+
 def skeleton_to_dict(skeleton: Skeleton):
     data = {
         "joints": [[float(c) for c in j] for j in skeleton.joints],
@@ -318,7 +332,8 @@ def skeleton_to_dict(skeleton: Skeleton):
 
 def skeleton_from_dict(data) -> Skeleton:
     return Skeleton(np.array(data["joints"], dtype=np.float64),
-                    np.array(data["parents"], dtype=np.int64),
+                    np.array([json_index(p, "parent") for p in data["parents"]],
+                             dtype=np.int64),
                     data.get("names"))
 
 

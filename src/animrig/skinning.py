@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import TriMesh, bbox_diagonal
-from .skeleton import Skeleton
+from .skeleton import Skeleton, json_index
 
 
 @dataclass(frozen=True)
@@ -606,10 +606,12 @@ def weights_to_dict(weights: SkinWeights):
 
 
 def weights_from_dict(data) -> SkinWeights:
+    shape = (json_index(data["num_vertices"], "num_vertices"),
+             json_index(data["num_bones"], "num_bones"))
     rows = np.array(data["rows"], dtype=np.float64)
     if rows.size == 0:
-        rows = rows.reshape(0, int(data["num_bones"]))
-    if rows.shape != (int(data["num_vertices"]), int(data["num_bones"])):
+        rows = rows.reshape(0, shape[1])
+    if rows.shape != shape:
         raise ValueError("weights rows do not match the declared dimensions")
     return SkinWeights(rows)
 

@@ -1,6 +1,6 @@
-"""Property tests: batched column bucketing, interior lookups and mesh I/O
-equal the per-face, per-point and per-line references of loop_reference.py,
-bit for bit and byte for byte.
+"""Property tests: batched column bucketing, interior fields, interior lookups
+and mesh I/O equal the per-face, per-column, per-point and per-line
+references of loop_reference.py, bit for bit and byte for byte.
 
 Needs hypothesis (the "test" extra); the examples are drawn by the
 derandomized profile that conftest.py loads.
@@ -11,22 +11,25 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from animrig.geometry import TriMesh, load_mesh, save_mesh  # noqa: E402
 from animrig.retarget import (  # noqa: E402
     InteriorField,
-    _column_buckets,
+    _column_entries,
     _segment_exit_fractions,
+    build_interior_field,
 )
 from loop_reference import (  # noqa: E402
     reference_column_buckets,
     reference_contains,
     reference_exit_fraction,
+    reference_interior_field,
     reference_load_mesh,
     reference_save_mesh,
 )
+from shapes import limb_rig, make_capsule, make_cube, make_grid, make_icosphere  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +53,65 @@ def test_column_buckets_match_per_face_reference(seed, dyadic):
     point = rng.random(len(corners)) < 0.2
     corners[point, 1:] = corners[point, :1]
     tri2d = (origin + corners * voxel)[:, :, 1:]
-    buckets = _column_buckets(tri2d, origin, voxel, dims)
-    assert [(j, k) for j, k, _ in buckets] == sorted((j, k) for j, k, _ in buckets)
-    got = {(j, k): ids.tolist() for j, k, ids in buckets}
+    face, column = _column_entries(tri2d, origin, voxel, dims)
+    got = {}
+    for f, c in zip(face.tolist(), column.tolist()):
+        got.setdefault(divmod(c, int(dims[2])), []).append(f)
     assert got == reference_column_buckets(tri2d, origin, voxel, dims)
+
+
+# --- interior field ----------------------------------------------------------------
+
+SHAPES = {
+    "cube": make_cube(),
+    "icosphere": make_icosphere(2),
+    "capsule": make_capsule(rings=12, sides=8),
+    "limb": limb_rig(rings=12, sides=8)[0],
+    "grid": make_grid(5, 5),
+    # 1 x 1 x 0.5625 box: at resolution 8 its x = 0.5625 faces fall exactly on
+    # voxel centers, so a crossing ties with a center
+    "slab": TriMesh(make_cube().vertices * [0.5625, 1.0, 1.0], make_cube().faces),
+}
+
+
+def assert_same_field(mesh, resolution):
+    """build_interior_field equals the per-column reference bit for bit, or
+    both raise the same ValueError."""
+    try:
+        want = reference_interior_field(mesh, resolution)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_interior_field(mesh, resolution)
+        assert str(got.value) == str(exc)
+        return
+    got = build_interior_field(mesh, resolution)
+    assert got.interior.shape == want.interior.shape
+    assert got.interior.tobytes() == want.interior.tobytes()
+    assert got.distance.dtype == want.distance.dtype
+    assert got.distance.tobytes() == want.distance.tobytes()
+    assert got.origin.tobytes() == want.origin.tobytes()
+    assert got.voxel_size == want.voxel_size
+
+
+# the axis-aligned cube's rays graze its diagonal edges, so columns are recast;
+# a flat sheet has no interior
+@example(shape="cube", variant="as built", resolution=24, seed=0)
+@example(shape="slab", variant="as built", resolution=8, seed=0)
+@example(shape="grid", variant="as built", resolution=16, seed=0)
+@given(shape=st.sampled_from(sorted(SHAPES)), variant=st.sampled_from(["as built", "moved", "open"]),
+       resolution=st.integers(8, 32), seed=st.integers(0, 2**32 - 1))
+def test_interior_field_matches_per_column_reference(shape, variant, resolution, seed):
+    """Randomly rotated, scaled and shifted copies; open copies lose about a
+    tenth of their faces, so some columns cross an odd number of times."""
+    rng = np.random.default_rng(seed)
+    mesh = SHAPES[shape]
+    vertices, faces = mesh.vertices, mesh.faces
+    if variant != "as built":
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        vertices = vertices @ rotation.T * rng.uniform(0.2, 5.0) + rng.normal(size=3) * 3.0
+    if variant == "open":
+        faces = faces[rng.random(len(faces)) > 0.1]
+    assert_same_field(TriMesh(vertices, faces), resolution)
 
 
 # --- interior lookups ----------------------------------------------------------

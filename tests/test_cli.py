@@ -331,6 +331,65 @@ class TestValidate:
         diags = validate_assets(PipelineConfig.from_dict(cfg))
         assert diags == [f"retarget embed resolution must be an integer >= 8: {resolution!r}"]
 
+    @staticmethod
+    def validate_reports(path, capsys, message):
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == [message]
+
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_fractional_correspondence_index(self, assets, tmp_path, capsys, index):
+        corr = tmp_path / "correspondence.json"
+        corr.write_text(json.dumps({"pairs": [[0, 0], [index, 2.9]]}))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["retarget"] = {"target_mesh": assets["mesh"], "target_skeleton": assets["skeleton"],
+                           "correspondence": str(corr)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        self.validate_reports(path, capsys, "correspondence invalid: correspondence index "
+                                            f"must be an integer: {index!r}")
+
+    @pytest.mark.parametrize("parent", [0.7, False, "0"])
+    def test_fractional_skeleton_parent(self, assets, tmp_path, capsys, parent):
+        skel = tmp_path / "skeleton.json"
+        skel.write_text(json.dumps({"joints": [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+                                    "parents": [-1, parent, 1.2]}))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["skeleton"] = str(skel)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        self.validate_reports(path, capsys,
+                              f"skeleton invalid: parent must be an integer: {parent!r}")
+
+    @pytest.mark.parametrize("key, value", [("num_vertices", 1.9), ("num_vertices", True),
+                                            ("num_bones", "3"), ("num_bones", 3.5)])
+    def test_fractional_weights_dimension(self, assets, tmp_path, capsys, key, value):
+        with open(assets["weights"]) as fh:
+            data = json.load(fh)
+        data[key] = value
+        bad = tmp_path / "weights.json"
+        bad.write_text(json.dumps(data))
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        cfg["weights"] = str(bad)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        self.validate_reports(path, capsys, f"weights invalid: {key} must be an integer: {value!r}")
+
+    @pytest.mark.parametrize("command", ["validate", "pipeline"])
+    @pytest.mark.parametrize("key, value", [("retarget", None), ("fit", None), ("skinning", None),
+                                            ("fit", [1]), ("skinning", "heat"), (None, [])])
+    def test_section_not_an_object_exits_2(self, assets, tmp_path, capsys, command, key, value):
+        cfg = pipeline_config_dict(assets, tmp_path / "out")
+        if key is None:
+            cfg = [cfg]
+        else:
+            cfg[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        name = "config" if key is None else f'config "{key}"'
+        assert capsys.readouterr().err == f"invalid input: {name} must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_skinning_method_exits_2(self, assets, tmp_path, capsys):
         cfg = pipeline_config_dict(assets, tmp_path / "out")
         cfg["skinning"]["method"] = "gausian"

@@ -38,7 +38,7 @@ def sphere_field(sphere):
 class TestInteriorField:
     def test_sphere_center_distance(self, sphere_field):
         f = sphere_field
-        center = f.index_of((0.0, 0.0, 0.0))
+        center = tuple(np.floor(-f.origin / f.voxel_size).astype(int))
         assert f.interior[center]
         assert abs(f.distance[center] - 1.0) <= 2 * f.voxel_size
 
@@ -59,7 +59,7 @@ class TestInteriorField:
         f = sphere_field
         assert f.contains((0.0, 0.0, 0.0))
         assert not f.contains((2.0, 2.0, 2.0))
-        idx = np.array(f.index_of((0.0, 0.0, 0.0)))
+        idx = np.floor(-f.origin / f.voxel_size).astype(int)
         center = f.voxel_centers(idx)
         assert np.abs(center).max() <= f.voxel_size
 
